@@ -29,7 +29,6 @@ from .witt import (
     ghost,
     ghost_divide,
     rational_div,
-    rational_expand,
     teichmuller,
     unghost,
     verschiebung,

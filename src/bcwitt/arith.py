@@ -289,8 +289,10 @@ def stirling2(k: int, r: int) -> int:
     total = 0
     for j in range(r + 1):
         total += (-1) ** (r - j) * math.comb(r, j) * j**k
-    assert total % math.factorial(r) == 0
-    return total // math.factorial(r)
+    q, rem = divmod(total, math.factorial(r))
+    if rem:
+        raise ArithmeticError(f"binomial sum for S({k}, {r}) is not divisible by {r}!")
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +305,8 @@ def cyclotomic(m: int) -> Polynomial:
     for d in divisors(m):
         if d < m:
             num = num.exact_div(cyclotomic(d))
-    assert num.degree == totient(m) and num.is_integral()
+    if num.degree != totient(m) or not num.is_integral():
+        raise ArithmeticError(f"cyclotomic({m}) came out as {num!r}")
     return num
 
 

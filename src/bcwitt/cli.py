@@ -417,7 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"bcwitt: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, KeyError, TypeError,
+            json.JSONDecodeError) as exc:
         print(f"bcwitt: invalid input: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -7,6 +7,12 @@ function is the exponential of the generating series of those numbers; the
 Artin-Mazur variant counts fixed points, |det(I - M^m)|, and is defined
 only while every iterate has isolated fixed points.
 
+Frobenius on the big Witt ring raises the endomorphism to a power, so
+det(1 - t M^m) = F_m det(1 - t M): its ghosts are those of det(1 - t M) at
+m, 2m, ..., dm, and det(I - M^m) is that degree-d polynomial at t = 1.  The
+Lefschetz numbers therefore come from one characteristic series and one
+ghost expansion, with no matrix powers or determinants.
+
 When the characteristic polynomial of M is a product of cyclotomic
 polynomials Phi_{m_i} (the quasi-unipotent case), the Lefschetz zeta has a
 closed form: with m = lcm(m_i),
@@ -37,7 +43,8 @@ from .errors import DegenerateIterate
 from . import linalg
 from .linalg import Matrix
 from .qz import QZElement
-from .witt import GhostVector, WittVector, unghost, witt_add
+from .endo import EndoObject, endo_verschiebung
+from .witt import GhostVector, WittVector, ghost, unghost, witt_add
 
 
 @dataclass(frozen=True)
@@ -66,15 +73,15 @@ class ToralMap:
 
 
 def lefschetz_numbers(f: ToralMap, trunc: int) -> list[int]:
-    """det(I - M^n) for n = 1..trunc."""
+    """det(I - M^n) for n = 1..trunc, as F_n det(1 - t M) at t = 1."""
     if trunc < 1:
         raise ValueError("truncation must be >= 1")
-    out = []
-    power = linalg.identity(f.dim)
-    for _ in range(trunc):
-        power = linalg.mat_mul(power, f.matrix)
-        out.append(int(linalg.det(linalg.mat_sub(linalg.identity(f.dim), power))))
-    return out
+    d = f.dim
+    if d == 0:
+        return [1] * trunc
+    g = ghost(WittVector.from_coeffs(linalg.char_series(f.matrix).coeffs[1:], trunc * d)).values
+    return [1 + sum(unghost(GhostVector.of(g[n - 1::n][:d])).coeffs)
+            for n in range(1, trunc + 1)]
 
 
 def lefschetz_zeta_series(f: ToralMap, trunc: int) -> WittVector:
@@ -120,7 +127,8 @@ def lefschetz_zeta_closed(f: ToralMap) -> LefschetzZeta:
     exponents = {}
     for d in divisors(m):
         total = sum(f_k[k] * moebius(d // k) for k in divisors(d))
-        assert total % d == 0, "closed-form exponent must be an integer"
+        if total % d:
+            raise ArithmeticError(f"closed-form exponent {total}/{d} is not an integer")
         exponents[d] = total // d
     return LefschetzZeta.of(exponents)
 
@@ -168,17 +176,4 @@ def spectral_euler(m: Matrix | ToralMap) -> QZElement:
 def verschiebung_block(n: int, m: Matrix | ToralMap) -> Matrix:
     """The nd x nd companion block whose n-th power is block-diagonal m."""
     mat = m.matrix if isinstance(m, ToralMap) else linalg.as_matrix(m)
-    d = len(mat)
-    if n < 1:
-        raise ValueError("verschiebung_block needs n >= 1")
-    size = n * d
-    def entry(i: int, j: int):
-        bi, bj = i // d, j // d
-        if bi == 0 and bj == n - 1:
-            return mat[i % d][j % d]
-        if bi == bj + 1:
-            return 1 if i % d == j % d else 0
-        return 0
-    if n == 1:
-        return mat
-    return tuple(tuple(entry(i, j) for j in range(size)) for i in range(size))
+    return endo_verschiebung(n, EndoObject(mat)).matrix

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Polynomial
+from .arith import Polynomial, divisors
 from .errors import NotSplit
 from . import linalg
 from .linalg import Matrix
@@ -102,25 +102,16 @@ def endo_verschiebung(n: int, e: EndoObject) -> EndoObject:
     """The n x n block companion with e's matrix in the upper-right corner."""
     if n < 1:
         raise ValueError("endo_verschiebung needs n >= 1")
-    d = e.dim
-    size = n * d
-    rows = []
-    for bi in range(n):
-        row = []
-        for bj in range(n):
-            if bi == 0 and bj == n - 1:
-                block = e.matrix
-            elif bi == bj + 1:
-                block = linalg.identity(d)
-            else:
-                block = tuple((0,) * d for _ in range(d))
-            row.append(block)
-        rows.append(row)
     if n == 1:
         return e
-    return EndoObject(tuple(
-        tuple(rows[i // d][j // d][i % d][j % d] for j in range(size))
-        for i in range(size)))
+    d = e.dim
+
+    def entry(i: int, j: int):
+        bi, bj = i // d, j // d
+        if bi == 0 and bj == n - 1:
+            return e.matrix[i % d][j % d]
+        return 1 if bi == bj + 1 and i % d == j % d else 0
+    return EndoObject(tuple(tuple(entry(i, j) for j in range(n * d)) for i in range(n * d)))
 
 
 def graded_frobenius(n: int, g: GradedEndoObject) -> GradedEndoObject:
@@ -168,24 +159,12 @@ def _find_rational_root(p: Polynomial):
     const = p.coeffs[0]
     if const == 0:
         return Fraction(0)
-    for u in _divisor_candidates(abs(int(const))):
-        for v in _divisor_candidates(abs(int(lead))):
+    for u in divisors(abs(int(const))):
+        for v in divisors(abs(int(lead))):
             for cand in (Fraction(u, v), Fraction(-u, v)):
                 if p(cand) == 0:
                     return cand
     return None
-
-
-def _divisor_candidates(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def phi_mu(z: RationalWitt) -> GradedEndoObject:

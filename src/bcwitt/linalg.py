@@ -50,10 +50,6 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     return result
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def trace(a: Matrix) -> Entry:
     return sum(a[i][i] for i in range(len(a)))
 
@@ -85,19 +81,18 @@ def det(a: Matrix) -> Entry:
 def char_series(m: Matrix) -> Polynomial:
     """det(1 - t M) as a polynomial, via power traces.
 
-    det(1 - t M)^(-1) has ghost components trace(M^k), so det(1 - t M) is
-    the series with negated ghosts, which terminates at degree dim.
+    det(1 - t M) is the Witt vector with ghost components -trace(M^k)
+    (Newton's identities), and it terminates at degree dim, so the traces
+    of M..M^dim determine it: dim - 1 matrix products and one ``unghost``.
     """
     n = len(m)
     if n == 0:
         return Polynomial([1])
-    traces = []
-    power = m
-    for _ in range(n):
-        traces.append(-trace(power))
+    power, traces = m, [-trace(m)]
+    for _ in range(n - 1):
         power = mat_mul(power, m)
-    coeffs = unghost(GhostVector.of(traces)).coeffs
-    return Polynomial([1, *coeffs])
+        traces.append(-trace(power))
+    return Polynomial([1, *unghost(GhostVector.of(traces)).coeffs])
 
 
 def charpoly(m: Matrix) -> Polynomial:

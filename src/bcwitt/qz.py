@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-QZFraction = Fraction
+from .arith import factorize
 
 
 def qz(num: int, den: int = 1) -> Fraction:
@@ -183,23 +183,12 @@ def _canon_split(acc: Mapping[tuple[Fraction, Fraction], int]):
     return tuple(items)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def split(primes: Iterable[int], a: QZElement) -> SplitQZElement:
     """Decompose each e(r) as e(r_F) (x) e(r^F) by CRT on the denominator."""
     fset = frozenset(primes)
     if not fset:
         raise ValueError("split needs a nonempty set of primes")
-    if not all(_is_prime(p) for p in fset):
+    if not all(p >= 2 and factorize(p) == {p: 1} for p in fset):
         raise ValueError("split needs a set of primes")
     acc: dict[tuple[Fraction, Fraction], int] = {}
     for r, c in a.terms:

@@ -7,7 +7,13 @@ recursion
 
     m * c_m = N_m + sum_{j=1}^{m-1} N_j c_{m-j},
 
-used in both directions (ghost <-> coefficients) without leaving Q.
+used in both directions (ghost <-> coefficients) in plain int/Fraction
+arithmetic: integral input stays in Z, and a Fraction appears only where
+the division by m in ``unghost`` is inexact.  ``ghost`` stops the sum at
+the last nonzero coefficient, so a polynomial padded to truncation N costs
+O(N * degree).  ``ghost``, ``unghost``, ``series_mul`` and ``series_div``
+are the package's only Newton and convolution loops; the matrix layers
+reach them through det(1 - t M).
 
 Operations follow the Witt dictionary: addition is the series product,
 multiplication is pointwise on ghosts, the Teichmueller lift of a is the
@@ -28,17 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .arith import Polynomial, poly_gcd
+from .arith import Polynomial, _norm_coeff, poly_gcd
 from .errors import NotDivisible, TruncationTooSmall
 
 Scalar = Union[int, Fraction]
 GhostValue = Union[int, Fraction, Polynomial]
-
-
-def _norm(c: Scalar) -> Scalar:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class WittVector:
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[Scalar], trunc: int | None = None) -> "WittVector":
-        cs = [_norm(Fraction(c) if not isinstance(c, (int, Fraction)) else c) for c in coeffs]
+        cs = [_norm_coeff(c if isinstance(c, (int, Fraction)) else Fraction(c)) for c in coeffs]
         n = len(cs) if trunc is None else trunc
         cs = (cs + [0] * n)[:n]
         return WittVector(n, tuple(cs))
@@ -96,7 +96,7 @@ class GhostVector:
     @staticmethod
     def of(values: Sequence[GhostValue]) -> "GhostVector":
         return GhostVector(len(values), tuple(
-            v if isinstance(v, Polynomial) else _norm(v) for v in values))
+            v if isinstance(v, Polynomial) else _norm_coeff(v) for v in values))
 
     def is_symbolic(self) -> bool:
         return any(isinstance(v, Polynomial) for v in self.values)
@@ -122,45 +122,23 @@ def _match(a, b):
 
 def series_mul(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]:
     """Product of 1 + sum a_m t^m and 1 + sum b_m t^m, coefficients 1..n."""
-    out = []
+    a, b = (1, *a), (1, *b)
+    out: list[Scalar] = []
     for m in range(1, n + 1):
-        s = (a[m - 1] if m <= len(a) else 0) + (b[m - 1] if m <= len(b) else 0)
-        for j in range(1, m):
-            if j <= len(a) and (m - j) <= len(b):
-                s += a[j - 1] * b[m - j - 1]
-        out.append(_norm(Fraction(s)))
+        lo, hi = max(0, m - len(b) + 1), min(m, len(a) - 1)
+        out.append(_norm_coeff(sum(a[i] * b[m - i] for i in range(lo, hi + 1))))
     return out
 
 
 def series_div(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]:
     """Coefficients 1..n of (1 + sum a_m t^m) / (1 + sum b_m t^m)."""
-    out: list[Scalar] = []
+    out: list[Scalar] = [1]
     for m in range(1, n + 1):
-        s = Fraction(a[m - 1] if m <= len(a) else 0)
-        for j in range(1, m + 1):
-            if j <= len(b):
-                prev = out[m - j - 1] if m - j >= 1 else 1
-                s -= Fraction(b[j - 1]) * prev
-        out.append(_norm(s))
-    return out
-
-
-def series_ratio(num: Sequence[Scalar], den: Sequence[Scalar], n: int) -> list[Scalar]:
-    """Coefficients 0..n of num(t)/den(t) for an arbitrary numerator.
-
-    ``num`` and ``den`` are plain ascending coefficient lists; ``den`` must
-    have constant term 1.
-    """
-    if not den or den[0] != 1:
-        raise ValueError("series_ratio needs a denominator with constant term 1")
-    out: list[Scalar] = []
-    for m in range(n + 1):
-        s = Fraction(num[m] if m < len(num) else 0)
-        for j in range(1, m + 1):
-            if j < len(den):
-                s -= Fraction(den[j]) * out[m - j]
-        out.append(_norm(s))
-    return out
+        s = a[m - 1] if m <= len(a) else 0
+        for j in range(1, min(m, len(b)) + 1):
+            s -= b[j - 1] * out[m - j]
+        out.append(_norm_coeff(s))
+    return out[1:]
 
 
 # ------------------------------------------------------------- ghost bridge
@@ -168,25 +146,29 @@ def series_ratio(num: Sequence[Scalar], den: Sequence[Scalar], n: int) -> list[S
 def ghost(w: WittVector) -> GhostVector:
     """Ghost components via the Newton recursion; exact."""
     c = w.coeffs
+    deg = len(c)
+    while deg and not c[deg - 1]:
+        deg -= 1
     ns: list[Scalar] = []
     for m in range(1, w.trunc + 1):
-        s = Fraction(m * c[m - 1])
-        for j in range(1, m):
-            s -= ns[j - 1] * c[m - j - 1]
-        ns.append(_norm(s))
-    return GhostVector.of(ns)
+        s = m * c[m - 1] if m <= deg else 0
+        for i in range(1, min(m, deg + 1)):
+            s -= c[i - 1] * ns[m - i - 1]
+        ns.append(_norm_coeff(s))
+    return GhostVector(w.trunc, tuple(ns))
 
 
 def unghost(g: GhostVector) -> WittVector:
     """Series with the given ghost components (exp of the generating series)."""
     if g.is_symbolic():
         raise ValueError("cannot expand a symbolic ghost vector; take q -> value first")
+    v = g.values
     cs: list[Scalar] = []
     for m in range(1, g.trunc + 1):
-        s = Fraction(g.values[m - 1])
+        s = v[m - 1]
         for j in range(1, m):
-            s += g.values[j - 1] * cs[m - j - 1]
-        cs.append(_norm(s / m))
+            s += v[j - 1] * cs[m - j - 1]
+        cs.append(s // m if isinstance(s, int) and not s % m else _norm_coeff(Fraction(s, m)))
     return WittVector(g.trunc, tuple(cs))
 
 
@@ -220,7 +202,7 @@ def witt_scale(n: int, a: WittVector) -> WittVector:
 
 def teichmuller(a: Scalar, trunc: int) -> WittVector:
     """[a] = 1/(1 - a t): coefficients a^m."""
-    return WittVector.from_coeffs([_norm(Fraction(a) ** m) for m in range(1, trunc + 1)])
+    return WittVector.from_coeffs([Fraction(a) ** m for m in range(1, trunc + 1)])
 
 
 def frobenius(n: int, w: WittVector) -> WittVector:
@@ -303,10 +285,6 @@ class RationalWitt:
         return RationalWitt.of(side(data["num"]), side(data.get("den", [1])))
 
 
-def rational_expand(r: RationalWitt, trunc: int) -> WittVector:
-    return r.expand(trunc)
-
-
 def rational_div(p: RationalWitt, q: RationalWitt) -> RationalWitt:
     """Witt subtraction p -_W q, i.e. the series ratio p/q reduced.
 
@@ -339,5 +317,5 @@ def ghost_divide(p: GhostVector, q: GhostVector) -> GhostVector:
             quot = Fraction(a) / Fraction(b)
             if isinstance(a, int) and isinstance(b, int) and quot.denominator != 1:
                 raise NotDivisible(f"ghost component {a} not divisible by {b}")
-            out.append(_norm(quot))
+            out.append(_norm_coeff(quot))
     return GhostVector.of(out)

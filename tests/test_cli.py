@@ -201,6 +201,12 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["qz", "sigma", "--n", "2", "--elem", "{}", "--bogus"])
     assert exc.value.code == 2
+    # A zero denominator in a payload is malformed input, not a domain error.
+    for argv in (("qz", "sigma", "--n", "2", "--elem", '{"terms":[{"r":"1/0","c":1}]}'),
+                 ("witt", "ghost", "--witt", '{"trunc":2,"coeffs":["1/0","1"]}')):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "invalid input" in err
 
 
 def test_input_file(tmp_path, capsys):

@@ -46,6 +46,31 @@ def test_lefschetz_numbers():
     assert lefschetz_numbers(ROT, 4) == [2, 4, 2, 0]
     assert lefschetz_numbers(ToralMap.of([[1]]), 5) == [0] * 5
     assert lefschetz_numbers(ToralMap.of([[-1]]), 4) == [2, 0, 2, 0]
+    # The 0-torus: det of the empty matrix is 1 for every iterate.
+    empty = ToralMap.of([])
+    assert lefschetz_numbers(empty, 5) == [1] * 5
+    assert lefschetz_zeta_series(empty, 4).coeffs == (1, 1, 1, 1)
+    assert artin_mazur_series(empty, 4).coeffs == (1, 1, 1, 1)
+    with pytest.raises(ValueError):
+        lefschetz_numbers(ROT, 0)
+    # Degenerate iterates: the first n with det(I - M^n) = 0.
+    for f, n in ((ROT, 4), (ToralMap.of([[1]]), 1), (cyclotomic_companion(3, 5), 3)):
+        with pytest.raises(DegenerateIterate) as err:
+            artin_mazur_series(f, 12)
+        assert err.value.n == n
+
+
+def test_lefschetz_numbers_match_power_determinants():
+    rng = random.Random(211)
+    for _ in range(20):
+        d = rng.randint(1, 6)
+        f = ToralMap.of([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+        expected = []
+        for n in range(1, 25):
+            power = linalg.mat_pow(f.matrix, n)
+            expected.append(linalg.det(tuple(tuple(int(i == j) - x for j, x in enumerate(row))
+                                             for i, row in enumerate(power))))
+        assert lefschetz_numbers(f, 24) == expected
 
 
 def test_lefschetz_numbers_exterior_trace_oracle():

@@ -14,7 +14,7 @@ from bcwitt.witt import (
     ghost,
     ghost_divide,
     rational_div,
-    rational_expand,
+    series_div,
     teichmuller,
     unghost,
     verschiebung,
@@ -59,6 +59,9 @@ def test_ghost_unghost_inverse():
     for _ in range(10):
         g = GhostVector.of([rng.randint(-9, 9) for _ in range(12)])
         assert ghost(unghost(g)) == g
+    # A padded polynomial: ghost's sum stops at the last nonzero coefficient.
+    padded = WittVector.from_coeffs([3, 0, -1], 40)
+    assert unghost(ghost(padded)) == padded
 
 
 def test_witt_add():
@@ -164,7 +167,7 @@ def test_witt_scale_is_iterated_add():
 
 def test_rational_expand():
     r = RationalWitt.of([1, -1], [1, -2])
-    assert rational_expand(r, 3).coeffs == (1, 2, 4)
+    assert r.expand(3).coeffs == (1, 2, 4)
     assert r.ghosts(4).values == (1, 3, 7, 15)  # 2^m - 1
 
 
@@ -209,3 +212,41 @@ def test_json_roundtrip():
     r = RationalWitt.of([1, -3], [1, -2])
     assert r.to_json() == {"num": [1, -3], "den": [1, -2]}
     assert RationalWitt.from_json(r.to_json()) == r
+
+
+def test_newton_kernel_against_sympy():
+    """ghost = t d/dt log, unghost = exp of sum g_m t^m / m, series_div = series
+    division, checked in sympy's truncated power-series ring over QQ."""
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.ring_series import rs_exp, rs_log, rs_mul, rs_series_inversion
+    from sympy.polys.rings import ring
+
+    _, t = ring("t", QQ)
+    rng = random.Random(223)
+
+    def mixed(n, integral):
+        dens = (1,) if integral else (1, 1, 2, 3)
+        return [Fraction(rng.randint(-5, 5), rng.choice(dens)) for _ in range(n)]
+
+    def series(cs):
+        return 1 + sum((QQ(c.numerator, c.denominator) * t**m for m, c in enumerate(cs, 1)),
+                       0 * t)
+
+    def coeffs(p, n):
+        got = dict(p)
+        return [Fraction(int(c.numerator), int(c.denominator))
+                for c in (got.get((m,), QQ(0)) for m in range(1, n + 1))]
+
+    for case in range(40):
+        integral, n = case % 2 == 0, rng.randint(1, 10)
+        w = WittVector.from_coeffs(mixed(n, integral))
+        log = coeffs(rs_log(series(w.coeffs), t, n + 1), n)
+        assert list(ghost(w).values) == [m * c for m, c in enumerate(log, 1)]
+        g = GhostVector.of(mixed(n, integral))
+        exponent = sum((QQ(v.numerator, v.denominator * m) * t**m
+                        for m, v in enumerate(g.values, 1)), 0 * t)
+        assert list(unghost(g).coeffs) == coeffs(rs_exp(exponent, t, n + 1), n)
+        a, b = mixed(rng.randint(0, n), integral), mixed(rng.randint(0, n), integral)
+        ratio = rs_mul(series(a), rs_series_inversion(series(b), t, n + 1), t, n + 1)
+        assert series_div(a, b, n) == coeffs(ratio, n)

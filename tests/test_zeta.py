@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from bcwitt import zeta
 from bcwitt.arith import Polynomial
 from bcwitt.torified import TorifiedClass
-from bcwitt.witt import GhostVector, RationalWitt, ghost, series_ratio
+from bcwitt.witt import GhostVector, RationalWitt, ghost, series_div
 from bcwitt.zeta import (
     f1_zeta,
     hw_quotient_check,
@@ -44,8 +45,10 @@ def test_polylog_series_is_power_sums():
     for k in range(1, 9):
         num, den = polylog_rational(k)
         n = 30
-        series = series_ratio(num.coeffs, den.coeffs, n)
-        assert series == [0] + [m ** (k - 1) for m in range(1, n + 1)]
+        assert num[0] == 0 and den[0] == 1
+        # Coefficients 1..n of (den + num)/den = 1 + num/den.
+        series = series_div((den + num).coeffs[1:], den.coeffs[1:], n)
+        assert series == [m ** (k - 1) for m in range(1, n + 1)]
 
 
 def test_hw_zeta_examples():
@@ -100,6 +103,12 @@ def test_quotient_check():
     for k in range(5):
         sym = hw_quotient_check(k, "q", trunc=6)
         assert sym == z1(k, "q", trunc=6)
+
+
+def test_quotient_check_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(zeta, "z1", lambda k, q, trunc=12: GhostVector.of([0] * trunc))
+    with pytest.raises(ArithmeticError):
+        hw_quotient_check(1, 3, trunc=3)
 
 
 def test_q_to_1_limit():
