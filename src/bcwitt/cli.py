@@ -4,12 +4,14 @@ Output is deterministic: payloads are built in canonical field order and
 printed compactly, numbers that can exceed native precision travel as
 strings, and domain failures exit 1 with ``{"error": {"kind", "detail"}}``
 on stdout.  Malformed invocations and payloads exit 2 with a message on
-stderr, matching argparse's own convention.
+stderr, matching argparse's own convention; payload numbers must be JSON
+integers or strings, so floats and booleans are malformed.
 
-Any payload flag accepts ``@FILE`` to read its JSON from a file, and
-``--input FILE`` supplies missing payload flags from a single JSON object
-keyed by flag name.  ``--trunc`` defaults to 12, overridable with the
-BCWITT_TRUNC environment variable.
+Every subcommand is declared once, in ``COMMANDS``: its plain flags, its
+JSON payload flags and its handler.  Any payload flag accepts ``@FILE`` to
+read its JSON from a file, and ``--input FILE`` supplies missing payload
+flags from a single JSON object keyed by flag name.  ``--trunc`` defaults
+to 12, overridable with the BCWITT_TRUNC environment variable.
 """
 
 from __future__ import annotations
@@ -44,6 +46,27 @@ def _default_trunc() -> int:
         raise UsageError(f"BCWITT_TRUNC must be a positive integer, not {env!r}")
 
 
+def _decode(text: str, source: str) -> dict | list:
+    """Parse JSON whose numbers are all integers: floats and booleans are rejected."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"invalid JSON for {source}: {exc}")
+    except RecursionError:
+        raise UsageError(f"JSON for {source} is nested too deeply")
+    stack = [data]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (bool, float)):
+            raise UsageError(f"{source} holds {json.dumps(x)}; "
+                             "numbers must be JSON integers or strings")
+        if isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, list):
+            stack.extend(x)
+    return data
+
+
 def _load_payload(raw: str | None, name: str, inputs: dict) -> dict | list:
     if raw is None:
         if name in inputs:
@@ -52,15 +75,7 @@ def _load_payload(raw: str | None, name: str, inputs: dict) -> dict | list:
     if raw.startswith("@"):
         with open(raw[1:], "r", encoding="utf-8") as fh:
             raw = fh.read()
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid JSON for --{name}: {exc}")
-
-
-def _emit(data: dict) -> int:
-    print(json.dumps(data, separators=(",", ":")))
-    return 0
+    return _decode(raw, f"--{name}")
 
 
 def _numstr(x) -> str:
@@ -77,6 +92,19 @@ def _ghost_json(g) -> list:
     return out
 
 
+def _series_json(w: witt.WittVector) -> list:
+    return [_numstr(c) for c in w.coeffs]
+
+
+def _series_out(series: witt.WittVector) -> dict:
+    return {"ghost": _ghost_json(witt.ghost(series)), "series": _series_json(series)}
+
+
+def _q(text: str):
+    """--q: an integer, or 'q' (also 'sym', 'symbolic') for the symbolic parameter."""
+    return text if text in ("q", "sym", "symbolic") else int(text)
+
+
 def _parse_class(data: dict) -> torified.TorifiedClass:
     if "T" in data:
         return torified.TorifiedClass.from_json(data)
@@ -85,152 +113,75 @@ def _parse_class(data: dict) -> torified.TorifiedClass:
     raise UsageError("a class payload needs a 'T' or 'L' key")
 
 
-# ---------------------------------------------------------------- handlers
-
-def _run_qz(args, inputs) -> int:
-    if args.action in ("sigma", "rho"):
-        elem = qz.QZElement.from_json(_load_payload(args.elem, "elem", inputs))
-        fn = qz.sigma if args.action == "sigma" else qz.rho
-        return _emit(fn(args.n, elem).to_json())
-    if args.action == "mul":
-        a = qz.QZElement.from_json(_load_payload(args.a, "a", inputs))
-        b = qz.QZElement.from_json(_load_payload(args.b, "b", inputs))
-        return _emit((a * b).to_json())
-    if args.action == "split":
-        elem = qz.QZElement.from_json(_load_payload(args.elem, "elem", inputs))
-        try:
-            primes = [int(p) for p in args.primes.split(",") if p]
-        except ValueError:
-            raise UsageError(f"--primes must be a comma list of primes, not {args.primes!r}")
-        return _emit(qz.split(primes, elem).to_json())
-    raise UsageError(f"unknown qz action {args.action}")
-
-
-def _run_witt(args, inputs) -> int:
-    if args.action in ("add", "mul"):
-        a = witt.WittVector.from_json(_load_payload(args.a, "a", inputs))
-        b = witt.WittVector.from_json(_load_payload(args.b, "b", inputs))
-        fn = witt.witt_add if args.action == "add" else witt.witt_mul
-        return _emit(fn(a, b).to_json())
-    w = witt.WittVector.from_json(_load_payload(args.witt, "witt", inputs))
-    if args.action == "frobenius":
-        return _emit(witt.frobenius(args.n, w).to_json())
-    if args.action == "verschiebung":
-        return _emit(witt.verschiebung(args.n, w).to_json())
-    if args.action == "ghost":
-        g = witt.ghost(w)
-        return _emit({"trunc": g.trunc, "ghost": _ghost_json(g)})
-    raise UsageError(f"unknown witt action {args.action}")
-
-
-def _run_class(args, inputs) -> int:
-    if args.action == "convert":
-        data = _load_payload(args.cls, "class", inputs)
-        if "T" in data:
-            return _emit(torified.t_to_l(torified.TorifiedClass.from_json(data)).to_json())
-        if "L" in data:
-            return _emit(torified.l_to_t(torified.LClass.from_json(data)).to_json())
-        raise UsageError("a class payload needs a 'T' or 'L' key")
-    if args.action == "points":
-        cls = _parse_class(_load_payload(args.cls, "class", inputs))
-        return _emit({"count": str(torified.f1m_points(cls, args.m))})
-    if args.action == "bb":
-        pieces_data = _load_payload(args.pieces, "pieces", inputs)
-        pieces = [(_parse_class(p["class"]), int(p["d"])) for p in pieces_data]
-        return _emit(torified.bb_assemble(pieces).to_json())
-    if args.action == "virtual":
-        lcls = torified.LClass.from_json(_load_payload(args.cls, "class", inputs))
-        return _emit(torified.virtual_motive(lcls, args.dim).to_json())
-    raise UsageError(f"unknown class action {args.action}")
-
-
-def _run_zeta(args, inputs) -> int:
-    trunc = args.trunc if args.trunc is not None else _default_trunc()
-    if args.action == "f1":
-        cls = _parse_class(_load_payload(args.cls, "class", inputs))
-        z = zeta.f1_zeta(cls, trunc)
-        return _emit({"ghost": _ghost_json(z.ghost),
-                      "series": [_numstr(c) for c in z.witt.coeffs]})
-    if args.action == "hw":
-        cls = _parse_class(_load_payload(args.cls, "class", inputs))
-        q = args.q if args.q in ("q", "sym", "symbolic") else int(args.q)
-        z = zeta.hw_zeta(cls, q, trunc)
-        out = {"ghost": _ghost_json(z.ghost)}
-        if z.rational is not None:
-            out["series"] = [_numstr(c) for c in z.rational.expand(trunc).coeffs]
-            out["rational"] = z.rational.to_json()
-        return _emit(out)
-    if args.action in ("lefschetz", "artin-mazur"):
-        f = dynamical.ToralMap.from_json(_load_payload(args.matrix, "matrix", inputs))
-        if args.action == "lefschetz" and args.closed:
-            return _emit(dynamical.lefschetz_zeta_closed(f).to_json())
-        series = (dynamical.lefschetz_zeta_series if args.action == "lefschetz"
-                  else dynamical.artin_mazur_series)(f, trunc)
-        g = witt.ghost(series)
-        return _emit({"ghost": _ghost_json(g),
-                      "series": [_numstr(c) for c in series.coeffs]})
-    if args.action == "quotient-check":
-        q = args.q if args.q in ("q", "sym", "symbolic") else int(args.q)
-        g = zeta.hw_quotient_check(args.k, q, trunc)
-        return _emit({"ghost": _ghost_json(g)})
-    raise UsageError(f"unknown zeta action {args.action}")
-
-
-def _run_endo(args, inputs) -> int:
-    if args.action == "lmap":
-        e = endo.EndoObject.from_json(_load_payload(args.matrix, "matrix", inputs))
-        return _emit(endo.l_map(e).to_json())
-    if args.action in ("frobenius", "verschiebung"):
-        e = endo.EndoObject.from_json(_load_payload(args.matrix, "matrix", inputs))
-        fn = endo.endo_frobenius if args.action == "frobenius" else endo.endo_verschiebung
-        return _emit(fn(args.n, e).to_json())
-    if args.action == "delta":
-        plus = endo.EndoObject.from_json(_load_payload(args.plus, "plus", inputs))
-        minus = endo.EndoObject.from_json(_load_payload(args.minus, "minus", inputs))
-        return _emit(endo.delta(endo.GradedEndoObject(plus, minus)).to_json())
-    if args.action == "phimu":
-        z = witt.RationalWitt.from_json(_load_payload(args.rational, "rational", inputs))
-        g = endo.phi_mu(z)
-        return _emit({"plus": g.plus.to_json(), "minus": g.minus.to_json()})
-    raise UsageError(f"unknown endo action {args.action}")
-
-
-def _run_euler(args, inputs) -> int:
-    if args.action == "spectral":
-        f = dynamical.ToralMap.from_json(_load_payload(args.matrix, "matrix", inputs))
-        return _emit(dynamical.spectral_euler(f).to_json())
-    raise UsageError(f"unknown euler action {args.action}")
-
-
-def _parse_equivariant(data: dict):
+def _plain_action(args, data: dict) -> equivariant.CyclicAction:
     if "total" in data:
-        return equivariant.RelativeObject.from_json(data)
+        raise UsageError(f"equivariant {args.subcommand} expects a plain action payload")
     return equivariant.CyclicAction.from_json(data)
 
 
-def _run_equivariant(args, inputs) -> int:
-    obj = _parse_equivariant(_load_payload(args.action_payload, "action", inputs))
-    relative = isinstance(obj, equivariant.RelativeObject)
-    if args.action in ("sigma", "rho"):
-        if relative:
-            fn = equivariant.bc_sigma if args.action == "sigma" else equivariant.bc_rho
-        else:
-            fn = (equivariant.sigma_action if args.action == "sigma"
-                  else equivariant.verschiebung_action)
-        return _emit(fn(args.n, obj).to_json())
-    if relative:
-        raise UsageError(f"equivariant {args.action} expects a plain action payload")
-    if args.action == "periodic":
-        points = sorted(equivariant.periodic_points(obj, args.k))
-        return _emit({"points": points})
-    if args.action == "euler":
-        return _emit(equivariant.euler_char(obj).to_json())
-    if args.action == "check":
-        return _emit(_equivariant_check(obj, args.n, args.kmax))
-    raise UsageError(f"unknown equivariant action {args.action}")
+# ---------------------------------------------------------------- handlers
+
+def _by_n(fn, parse):
+    """Handler for fn(--n, payload) on one parsed payload."""
+    return lambda args, data: fn(args.n, parse(data)).to_json()
 
 
-def _equivariant_check(a: equivariant.CyclicAction, n: int, kmax: int) -> dict:
+def _qz_split(args, elem: dict) -> dict:
+    elem = qz.QZElement.from_json(elem)
+    try:
+        primes = [int(p) for p in args.primes.split(",") if p]
+    except ValueError:
+        raise UsageError(f"--primes must be a comma list of primes, not {args.primes!r}")
+    return qz.split(primes, elem).to_json()
+
+
+def _witt_ghost(args, w: dict) -> dict:
+    g = witt.ghost(witt.WittVector.from_json(w))
+    return {"trunc": g.trunc, "ghost": _ghost_json(g)}
+
+
+def _class_convert(args, data: dict) -> dict:
+    cls = _parse_class(data)
+    return (torified.t_to_l(cls) if "T" in data else cls).to_json()
+
+
+def _zeta_f1(args, cls: dict) -> dict:
+    z = zeta.f1_zeta(_parse_class(cls), args.trunc)
+    return {"ghost": _ghost_json(z.ghost), "series": _series_json(z.witt)}
+
+
+def _zeta_hw(args, cls: dict) -> dict:
+    z = zeta.hw_zeta(_parse_class(cls), _q(args.q), args.trunc)
+    out = {"ghost": _ghost_json(z.ghost)}
+    if z.rational is not None:
+        out["series"] = _series_json(z.rational.expand(args.trunc))
+        out["rational"] = z.rational.to_json()
+    return out
+
+
+def _zeta_lefschetz(args, matrix: dict) -> dict:
+    f = dynamical.ToralMap.from_json(matrix)
+    if args.closed:
+        return dynamical.lefschetz_zeta_closed(f).to_json()
+    return _series_out(dynamical.lefschetz_zeta_series(f, args.trunc))
+
+
+def _endo_phimu(args, rational: dict) -> dict:
+    g = endo.phi_mu(witt.RationalWitt.from_json(rational))
+    return {"plus": g.plus.to_json(), "minus": g.minus.to_json()}
+
+
+def _equivariant_by_n(plain, relative):
+    """Handler for --n maps that also act on relative objects ('total' key)."""
+    def handler(args, data: dict) -> dict:
+        if "total" in data:
+            return relative(args.n, equivariant.RelativeObject.from_json(data)).to_json()
+        return plain(args.n, equivariant.CyclicAction.from_json(data)).to_json()
+    return handler
+
+
+def _equivariant_check(args, data: dict) -> dict:
+    a, n, kmax = _plain_action(args, data), args.n, args.kmax
     shifted = equivariant.sigma_action(n, a)
     spread = equivariant.verschiebung_action(n, a)
     for k in range(1, kmax + 1):
@@ -252,162 +203,120 @@ def _equivariant_check(a: equivariant.CyclicAction, n: int, kmax: int) -> dict:
     return {"ok": True, "n": n, "kmax": kmax}
 
 
+# Plain (non-payload) flags by name; "a|b" in a subcommand's flags makes a
+# mutually exclusive pair.  --series selects the default and is kept so
+# that explicit calls stay valid.
+_FLAGS = {
+    **dict.fromkeys(("n", "m", "k", "dim"), {"type": int, "required": True}),
+    "kmax": {"type": int, "default": 24},
+    "trunc": {"type": int},
+    "primes": {"required": True, "help": "comma-separated primes, e.g. 2,3"},
+    "q": {"required": True, "help": "integer >= 2, or 'q' for symbolic"},
+    **dict.fromkeys(("closed", "series"), {"action": "store_true"}),
+}
+
+# group -> (help, subcommand -> (plain flags, payload flags, handler)).  A
+# handler takes the parsed args and the decoded payloads in declared order
+# and returns the JSON object to print.
+COMMANDS = {
+    "qz": ("group ring of Q/Z", {
+        "sigma": (("n",), ("elem",), _by_n(qz.sigma, qz.QZElement.from_json)),
+        "rho": (("n",), ("elem",), _by_n(qz.rho, qz.QZElement.from_json)),
+        "mul": ((), ("a", "b"), lambda args, a, b: (
+            qz.QZElement.from_json(a) * qz.QZElement.from_json(b)).to_json()),
+        "split": (("primes",), ("elem",), _qz_split),
+    }),
+    "witt": ("big Witt vectors", {
+        "add": ((), ("a", "b"), lambda args, a, b: witt.witt_add(
+            witt.WittVector.from_json(a), witt.WittVector.from_json(b)).to_json()),
+        "mul": ((), ("a", "b"), lambda args, a, b: witt.witt_mul(
+            witt.WittVector.from_json(a), witt.WittVector.from_json(b)).to_json()),
+        "frobenius": (("n",), ("witt",), _by_n(witt.frobenius, witt.WittVector.from_json)),
+        "verschiebung": (("n",), ("witt",), _by_n(witt.verschiebung, witt.WittVector.from_json)),
+        "ghost": ((), ("witt",), _witt_ghost),
+    }),
+    "class": ("torified Grothendieck classes", {
+        "convert": ((), ("class",), _class_convert),
+        "points": (("m",), ("class",), lambda args, cls: {
+            "count": str(torified.f1m_points(_parse_class(cls), args.m))}),
+        "bb": ((), ("pieces",), lambda args, pieces: torified.bb_assemble(
+            [(_parse_class(p["class"]), int(p["d"])) for p in pieces]).to_json()),
+        "virtual": (("dim",), ("class",), lambda args, cls: torified.virtual_motive(
+            torified.LClass.from_json(cls), args.dim).to_json()),
+    }),
+    "zeta": ("zeta functions", {
+        "f1": (("trunc",), ("class",), _zeta_f1),
+        "hw": (("q", "trunc"), ("class",), _zeta_hw),
+        "lefschetz": (("closed|series", "trunc"), ("matrix",), _zeta_lefschetz),
+        "artin-mazur": (("trunc",), ("matrix",), lambda args, matrix: _series_out(
+            dynamical.artin_mazur_series(dynamical.ToralMap.from_json(matrix), args.trunc))),
+        "quotient-check": (("k", "q", "trunc"), (), lambda args: {
+            "ghost": _ghost_json(zeta.hw_quotient_check(args.k, _q(args.q), args.trunc))}),
+    }),
+    "endo": ("endomorphism-category classes", {
+        "lmap": ((), ("matrix",), lambda args, matrix: endo.l_map(
+            endo.EndoObject.from_json(matrix)).to_json()),
+        "frobenius": (("n",), ("matrix",), _by_n(endo.endo_frobenius, endo.EndoObject.from_json)),
+        "verschiebung": (("n",), ("matrix",),
+                         _by_n(endo.endo_verschiebung, endo.EndoObject.from_json)),
+        "delta": ((), ("plus", "minus"), lambda args, plus, minus: endo.delta(endo.GradedEndoObject(
+            endo.EndoObject.from_json(plus), endo.EndoObject.from_json(minus))).to_json()),
+        "phimu": ((), ("rational",), _endo_phimu),
+    }),
+    "euler": ("Euler characteristics", {
+        "spectral": ((), ("matrix",), lambda args, matrix: dynamical.spectral_euler(
+            dynamical.ToralMap.from_json(matrix)).to_json()),
+    }),
+    "equivariant": ("finite cyclic-action model", {
+        "sigma": (("n",), ("action",),
+                  _equivariant_by_n(equivariant.sigma_action, equivariant.bc_sigma)),
+        "rho": (("n",), ("action",),
+                _equivariant_by_n(equivariant.verschiebung_action, equivariant.bc_rho)),
+        "periodic": (("k",), ("action",), lambda args, action: {
+            "points": sorted(equivariant.periodic_points(_plain_action(args, action), args.k))}),
+        "euler": ((), ("action",), lambda args, action: equivariant.euler_char(
+            _plain_action(args, action)).to_json()),
+        "check": (("n", "kmax"), ("action",), _equivariant_check),
+    }),
+}
+
+
 # ------------------------------------------------------------------ parser
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bcwitt",
         description="Exact Bost-Connes / Witt / torified-class computations with JSON I/O.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--input", help="JSON file supplying missing payload flags by name")
-
-    qz_p = sub.add_parser("qz", help="group ring of Q/Z")
-    qz_sub = qz_p.add_subparsers(dest="action", required=True)
-    for name in ("sigma", "rho"):
-        p = qz_sub.add_parser(name)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--elem")
-        add_common(p)
-    p = qz_sub.add_parser("mul")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    add_common(p)
-    p = qz_sub.add_parser("split")
-    p.add_argument("--primes", required=True, help="comma-separated primes, e.g. 2,3")
-    p.add_argument("--elem")
-    add_common(p)
-
-    witt_p = sub.add_parser("witt", help="big Witt vectors")
-    witt_sub = witt_p.add_subparsers(dest="action", required=True)
-    for name in ("add", "mul"):
-        p = witt_sub.add_parser(name)
-        p.add_argument("--a")
-        p.add_argument("--b")
-        add_common(p)
-    for name in ("frobenius", "verschiebung"):
-        p = witt_sub.add_parser(name)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--witt")
-        add_common(p)
-    p = witt_sub.add_parser("ghost")
-    p.add_argument("--witt")
-    add_common(p)
-
-    class_p = sub.add_parser("class", help="torified Grothendieck classes")
-    class_sub = class_p.add_subparsers(dest="action", required=True)
-    p = class_sub.add_parser("convert")
-    p.add_argument("--class", dest="cls")
-    add_common(p)
-    p = class_sub.add_parser("points")
-    p.add_argument("--class", dest="cls")
-    p.add_argument("--m", type=int, required=True)
-    add_common(p)
-    p = class_sub.add_parser("bb")
-    p.add_argument("--pieces")
-    add_common(p)
-    p = class_sub.add_parser("virtual")
-    p.add_argument("--class", dest="cls")
-    p.add_argument("--dim", type=int, required=True)
-    add_common(p)
-
-    zeta_p = sub.add_parser("zeta", help="zeta functions")
-    zeta_sub = zeta_p.add_subparsers(dest="action", required=True)
-    p = zeta_sub.add_parser("f1")
-    p.add_argument("--class", dest="cls")
-    p.add_argument("--trunc", type=int)
-    add_common(p)
-    p = zeta_sub.add_parser("hw")
-    p.add_argument("--class", dest="cls")
-    p.add_argument("--q", required=True, help="integer >= 2, or 'q' for symbolic")
-    p.add_argument("--trunc", type=int)
-    add_common(p)
-    p = zeta_sub.add_parser("lefschetz")
-    p.add_argument("--matrix")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--closed", action="store_true")
-    group.add_argument("--series", action="store_true")
-    p.add_argument("--trunc", type=int)
-    add_common(p)
-    p = zeta_sub.add_parser("artin-mazur")
-    p.add_argument("--matrix")
-    p.add_argument("--trunc", type=int)
-    add_common(p)
-    p = zeta_sub.add_parser("quotient-check")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--trunc", type=int)
-    add_common(p)
-
-    endo_p = sub.add_parser("endo", help="endomorphism-category classes")
-    endo_sub = endo_p.add_subparsers(dest="action", required=True)
-    p = endo_sub.add_parser("lmap")
-    p.add_argument("--matrix")
-    add_common(p)
-    for name in ("frobenius", "verschiebung"):
-        p = endo_sub.add_parser(name)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--matrix")
-        add_common(p)
-    p = endo_sub.add_parser("delta")
-    p.add_argument("--plus")
-    p.add_argument("--minus")
-    add_common(p)
-    p = endo_sub.add_parser("phimu")
-    p.add_argument("--rational")
-    add_common(p)
-
-    euler_p = sub.add_parser("euler", help="Euler characteristics")
-    euler_sub = euler_p.add_subparsers(dest="action", required=True)
-    p = euler_sub.add_parser("spectral")
-    p.add_argument("--matrix")
-    add_common(p)
-
-    eq_p = sub.add_parser("equivariant", help="finite cyclic-action model")
-    eq_sub = eq_p.add_subparsers(dest="action", required=True)
-    for name in ("sigma", "rho"):
-        p = eq_sub.add_parser(name)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--action", dest="action_payload")
-        add_common(p)
-    p = eq_sub.add_parser("periodic")
-    p.add_argument("--action", dest="action_payload")
-    p.add_argument("--k", type=int, required=True)
-    add_common(p)
-    p = eq_sub.add_parser("euler")
-    p.add_argument("--action", dest="action_payload")
-    add_common(p)
-    p = eq_sub.add_parser("check")
-    p.add_argument("--action", dest="action_payload")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=24)
-    add_common(p)
-
+    groups = parser.add_subparsers(dest="command", required=True)
+    for group, (help_text, subcommands) in COMMANDS.items():
+        sub = groups.add_parser(group, help=help_text)
+        sub = sub.add_subparsers(dest="subcommand", required=True)
+        for name, (flags, payloads, _) in subcommands.items():
+            p = sub.add_parser(name)
+            for payload in payloads:
+                p.add_argument(f"--{payload}")
+            for flag in flags:
+                target = p.add_mutually_exclusive_group() if "|" in flag else p
+                for f in flag.split("|"):
+                    target.add_argument(f"--{f}", **_FLAGS[f])
+            p.add_argument("--input", help="JSON file supplying missing payload flags by name")
     return parser
 
 
-_RUNNERS = {
-    "qz": _run_qz,
-    "witt": _run_witt,
-    "class": _run_class,
-    "zeta": _run_zeta,
-    "endo": _run_endo,
-    "euler": _run_euler,
-    "equivariant": _run_equivariant,
-}
-
-
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    flags, payloads, handler = COMMANDS[args.command][1][args.subcommand]
     inputs: dict = {}
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
-            inputs = json.load(fh)
+            inputs = _decode(fh.read(), "--input")
         if not isinstance(inputs, dict):
             raise UsageError("--input file must contain a JSON object")
-    return _RUNNERS[args.command](args, inputs)
+    if "trunc" in flags and args.trunc is None:
+        args.trunc = _default_trunc()
+    data = [_load_payload(getattr(args, name), name, inputs) for name in payloads]
+    print(json.dumps(handler(args, *data), separators=(",", ":")))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -417,8 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"bcwitt: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, OSError, KeyError, TypeError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, KeyError, TypeError, AttributeError) as exc:
         print(f"bcwitt: invalid input: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -13,8 +13,9 @@ constant coefficient a_0 the Euler characteristic.
 
 Leveled classes pair a class with the level N of the cyclic quotient
 through which a profinite action factors.  At this class level the
-Bost-Connes sigma keeps the pair, and rho multiplies the class by n
-(the class of the n-point cycle) and the level by n.
+Bost-Connes sigma fixes a leveled class, so it needs no function here;
+rho multiplies the class by n (the class of the n-point cycle) and the
+level by n.
 """
 
 from __future__ import annotations
@@ -214,13 +215,6 @@ class LeveledClass:
     @staticmethod
     def from_json(data: dict) -> "LeveledClass":
         return LeveledClass(TorifiedClass.from_json(data["class"]), int(data["level"]))
-
-
-def bc_sigma(n: int, x: LeveledClass) -> LeveledClass:
-    """Class-level shadow of precomposing the action: the pair is unchanged."""
-    if n < 1:
-        raise ValueError("bc_sigma needs n >= 1")
-    return x
 
 
 def bc_rho(n: int, x: LeveledClass) -> LeveledClass:

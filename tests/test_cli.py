@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bcwitt.cli import main
+from bcwitt.cli import COMMANDS, _FLAGS, main
 
 
 def run_cli(capsys, *argv):
@@ -192,7 +192,7 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(out)["error"]["kind"] == "HalfTwistPresent"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     code, out, err = run_cli(capsys, "class", "points", "--class", "not json", "--m", "1")
     assert code == 2
     assert "invalid JSON" in err
@@ -203,10 +203,23 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
     # A zero denominator in a payload is malformed input, not a domain error.
     for argv in (("qz", "sigma", "--n", "2", "--elem", '{"terms":[{"r":"1/0","c":1}]}'),
-                 ("witt", "ghost", "--witt", '{"trunc":2,"coeffs":["1/0","1"]}')):
+                 ("witt", "ghost", "--witt", '{"trunc":2,"coeffs":["1/0","1"]}'),
+                 ("class", "convert", "--class", '{"L":[1,2]}')):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "invalid input" in err
+    # Payload numbers are JSON integers or strings: floats and booleans are
+    # malformed, never read as 1 or truncated.  So is JSON too deep to decode.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (("witt", "ghost", "--witt", '{"trunc":2,"coeffs":[true,1.5]}'),
+                 ("qz", "split", "--primes", "2", "--elem", '{"terms":[{"r":"1/3","c":1.5}]}'),
+                 ("qz", "sigma", "--n", "2", "--elem", '{"terms":[{"r":"1/3","c":1e3}]}'),
+                 ("class", "bb", "--pieces", '[{"class":{"T":[1]},"d":1.5}]'),
+                 ("zeta", "lefschetz", "--matrix", '{"rows":[[true]]}', "--closed"),
+                 ("class", "convert", "--class", f"@{deep}")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
 
 
 def test_input_file(tmp_path, capsys):
@@ -218,6 +231,32 @@ def test_input_file(tmp_path, capsys):
     direct.write_text('{"terms":[{"r":"1/3","c":1}]}')
     data = run_json(capsys, "qz", "sigma", "--n", "2", "--elem", f"@{direct}")
     assert data == {"terms": [{"r": "2/3", "c": 1}]}
+    payload.write_text(json.dumps({"class": {"T": [2, 1.5]}}))
+    code, out, err = run_cli(capsys, "class", "points", "--input", str(payload), "--m", "5")
+    assert (code, out) == (2, "")
+
+
+REQUIRED_FLAG_VALUES = {"n": "2", "m": "2", "k": "1", "dim": "1", "primes": "2", "q": "3"}
+
+
+@pytest.mark.parametrize("group,name", [(g, n) for g, (_, subs) in COMMANDS.items() for n in subs])
+def test_subcommand_contract(group, name, capsys):
+    """Every declared subcommand has help, and without its payloads exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main([group, name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: bcwitt {group} {name} ")
+    flags, payloads, _ = COMMANDS[group][1][name]
+    argv = [group, name]
+    for flag in flags:
+        if _FLAGS.get(flag, {}).get("required"):
+            argv += [f"--{flag}", REQUIRED_FLAG_VALUES[flag]]
+    code, out, err = run_cli(capsys, *argv)
+    if payloads:
+        assert (code, out) == (2, "")
+        assert f"missing payload --{payloads[0]}" in err
+    else:
+        assert code == 0 and json.loads(out)
 
 
 def test_trunc_env_override(capsys, monkeypatch):

@@ -9,7 +9,6 @@ from bcwitt.torified import (
     TorifiedClass,
     bb_assemble,
     bc_rho,
-    bc_sigma,
     euler_characteristic,
     f1m_points,
     l_to_t,
@@ -113,8 +112,7 @@ def test_virtual_motive():
 def test_leveled_bc_maps():
     x = LeveledClass(TorifiedClass.of([2, 1]), 2)
     assert bc_rho(3, x) == LeveledClass(TorifiedClass.of([6, 3]), 6)
-    assert bc_sigma(5, x) == x
-    assert bc_sigma(2, bc_rho(2, x)).cls == 2 * x.cls
+    assert bc_rho(2, x).cls == 2 * x.cls
 
 
 def test_json():
