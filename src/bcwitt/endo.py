@@ -19,11 +19,10 @@ that is irreducible of degree > 1 raises NotSplit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Polynomial, divisors
+from .arith import Polynomial, _primitive_int, divisors
 from .errors import NotSplit
 from . import linalg
 from .linalg import Matrix
@@ -114,14 +113,6 @@ def endo_verschiebung(n: int, e: EndoObject) -> EndoObject:
     return EndoObject(tuple(tuple(entry(i, j) for j in range(n * d)) for i in range(n * d)))
 
 
-def graded_frobenius(n: int, g: GradedEndoObject) -> GradedEndoObject:
-    return GradedEndoObject(endo_frobenius(n, g.plus), endo_frobenius(n, g.minus))
-
-
-def graded_verschiebung(n: int, g: GradedEndoObject) -> GradedEndoObject:
-    return GradedEndoObject(endo_verschiebung(n, g.plus), endo_verschiebung(n, g.minus))
-
-
 def delta(g: GradedEndoObject) -> RationalWitt:
     """[plus] - [minus] in the Witt ring: det(1 - t M_minus)/det(1 - t M_plus)."""
     return RationalWitt.of(linalg.char_series(g.minus.matrix),
@@ -137,13 +128,7 @@ def _linear_roots(p: Polynomial) -> list[Fraction]:
     """
     if p.degree == 0:
         return []
-    rev = p.reversed()
-    # Clear denominators to an integer polynomial.
-    denlcm = 1
-    for c in rev.coeffs:
-        if isinstance(c, Fraction):
-            denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-    work = Polynomial([c * denlcm for c in rev.coeffs])
+    work = _primitive_int(p.reversed())
     roots: list[Fraction] = []
     while work.degree > 0:
         root = _find_rational_root(work)

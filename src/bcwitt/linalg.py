@@ -97,9 +97,7 @@ def char_series(m: Matrix) -> Polynomial:
 
 def charpoly(m: Matrix) -> Polynomial:
     """Monic characteristic polynomial det(t - M)."""
-    n = len(m)
-    rev = char_series(m)
-    return Polynomial([rev[n - k] for k in range(n + 1)])
+    return char_series(m).reversed(len(m))
 
 
 def exterior_trace(m: Matrix, k: int) -> Entry:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .arith import Polynomial
 from .errors import HalfTwistPresent, NotEffectivelyTorified
 
 
@@ -63,17 +64,11 @@ class TorifiedClass:
         return self.a[k] if 0 <= k < len(self.a) else 0
 
     def __add__(self, other: "TorifiedClass") -> "TorifiedClass":
-        n = max(len(self.a), len(other.a))
-        return TorifiedClass.of([self.coeff(k) + other.coeff(k) for k in range(n)])
+        return TorifiedClass.of((Polynomial(self.a) + Polynomial(other.a)).coeffs)
 
     def __mul__(self, other: "TorifiedClass | int") -> "TorifiedClass":
-        if isinstance(other, int):
-            return TorifiedClass.of([c * other for c in self.a])
-        out = [0] * (len(self.a) + len(other.a))
-        for i, x in enumerate(self.a):
-            for j, y in enumerate(other.a):
-                out[i + j] += x * y
-        return TorifiedClass.of(out)
+        rhs = other if isinstance(other, int) else Polynomial(other.a)
+        return TorifiedClass.of((Polynomial(self.a) * rhs).coeffs)
 
     __rmul__ = __mul__
 
@@ -140,15 +135,20 @@ class LClass:
         return LClass.from_doubled(acc)
 
 
-def t_to_l(c: TorifiedClass) -> LClass:
-    """Substitute T = L - 1 exactly."""
-    acc: dict[int, int] = {}
+def _l_poly(c: TorifiedClass) -> Polynomial:
+    """The L-basis coefficients e_j of c, as the polynomial sum e_j L^j."""
+    e = [0] * len(c.a)
     for k, a in enumerate(c.a):
         if a == 0:
             continue
         for j in range(k + 1):
-            acc[2 * j] = acc.get(2 * j, 0) + a * math.comb(k, j) * (-1) ** (k - j)
-    return LClass.from_doubled(acc)
+            e[j] += a * math.comb(k, j) * (-1) ** (k - j)
+    return Polynomial(e)
+
+
+def t_to_l(c: TorifiedClass) -> LClass:
+    """Substitute T = L - 1 exactly."""
+    return LClass.from_integer_coeffs(_l_poly(c).coeffs)
 
 
 def l_to_t(c: LClass) -> TorifiedClass:
@@ -181,16 +181,13 @@ def euler_characteristic(c: TorifiedClass) -> int:
 
 def bb_assemble(pieces: Iterable[tuple[TorifiedClass, int]]) -> TorifiedClass:
     """Assemble sum [Z_i] L^(d_i) in the T-basis: sum [Z_i] (T + 1)^(d_i)."""
-    total = TorifiedClass.zero()
-    affine_line = TorifiedClass.of([1, 1])  # L = 1 + T
+    total = Polynomial()
+    affine_line = Polynomial([1, 1])  # L = 1 + T
     for z, d in pieces:
         if d < 0:
             raise ValueError("cell dimensions must be nonnegative")
-        term = z
-        for _ in range(d):
-            term = term * affine_line
-        total = total + term
-    return total
+        total = total + Polynomial(z.a) * affine_line**d
+    return TorifiedClass.of(total.coeffs)
 
 
 def virtual_motive(c: LClass, dim: int) -> LClass:

@@ -6,26 +6,27 @@ generating series, which generally has non-integral rational coefficients
 even though every ghost is an integer, so the ghost vector is the primary
 representation and every ring-homomorphism property is checked there.
 
-The finite-field zeta of the same class has ghosts sum a_k (q^m - 1)^k and
-is genuinely rational: collecting binomials turns it into a product of
-factors (1 - q^j t) with integer exponents.  The parameter q may also be
-kept symbolic, in which case ghosts are polynomials in q and the q -> 1
-limit is literal evaluation at 1, landing back on the former ghosts.
+The finite-field zeta is read off the L-basis.  Writing the class as
+sum e_j L^j (the substitution T = L - 1 of ``torified.t_to_l``), counting
+points over F_q sends L to the Teichmueller class of q, so the ghosts are
+sum e_j q^(jm) and the zeta is prod (1 - q^j t)^(-e_j), rational with
+integer exponents.  The parameter q may also be kept symbolic, in which
+case each ghost is the L-polynomial with L -> q^m, and the q -> 1 limit is
+literal evaluation at 1.
 
-The bridge elements are Z0 = (1 - t)^(-(q-1)^k), whose ghosts divide the
-finite-field ghosts componentwise, with quotient ghosts
-((q^m - 1)/(q - 1))^k — the point-counts of projective spaces — computed
-here by exact ghost division.
+The bridge element Z0 = (1 - t)^(-(q-1)^k) is used through its ghosts
+only, the constant (q-1)^k.  They divide the torus ghosts (q^m - 1)^k
+componentwise, with quotient ghosts ((q^m - 1)/(q - 1))^k — the
+point-counts of projective spaces — computed here by exact ghost division.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 from .arith import Polynomial, stirling2
-from .torified import TorifiedClass, f1m_points
+from .torified import TorifiedClass, _l_poly, f1m_points
 from .witt import GhostVector, RationalWitt, WittVector, ghost_divide, unghost
 
 QParam = Union[int, str]
@@ -40,6 +41,11 @@ def _require_symbolic(q: QParam) -> bool:
     if q in ("q", "sym", "symbolic"):
         return True
     raise ValueError(f"q must be an integer >= 2 or symbolic, not {q!r}")
+
+
+def _q_value(q: QParam) -> int | Polynomial:
+    """The integer q, or the polynomial q for symbolic q."""
+    return _Q if _require_symbolic(q) else q
 
 
 @dataclass(frozen=True)
@@ -86,69 +92,50 @@ def polylog_rational(k: int) -> tuple[Polynomial, Polynomial]:
     return num, one_minus_t**k
 
 
-def _hw_exponents(c: TorifiedClass) -> dict[int, int]:
-    """Exponent of (1 - q^j t)^(-1) in the finite-field zeta of the class."""
-    out: dict[int, int] = {}
-    for k, a in enumerate(c.a):
-        if a == 0:
-            continue
-        for j in range(k + 1):
-            out[j] = out.get(j, 0) + a * (-1) ** (k - j) * math.comb(k, j)
-    return {j: e for j, e in out.items() if e != 0}
-
-
 def hw_zeta(c: TorifiedClass, q: QParam, trunc: int = 12,
             with_rational: bool = True) -> HWZeta:
-    """Finite-field zeta: ghosts sum a_k (q^m - 1)^k; rational for integer q.
+    """Finite-field zeta from the L-basis c = sum e_j L^j.
 
-    The rational form's factor multiplicities grow combinatorially with the
-    class degree, so callers that only need ghosts (e.g. for product
-    classes) can pass with_rational=False.
+    Ghosts are sum e_j q^(jm); for integer q the rational form is
+    prod (1 - q^j t)^(-e_j).  Its factor multiplicities grow
+    combinatorially with the class degree, so callers that only need
+    ghosts (e.g. for product classes) can pass with_rational=False.
     """
     symbolic = _require_symbolic(q)
-    if symbolic:
-        values = []
-        for m in range(1, trunc + 1):
-            qm_minus_1 = Polynomial([-1] + [0] * (m - 1) + [1])
-            values.append(sum((a * qm_minus_1**k for k, a in enumerate(c.a)
-                               if a != 0), Polynomial()))
-        return HWZeta(c, "q", GhostVector.of(values), None)
-    rational = None
-    if with_rational:
-        num = Polynomial([1])
-        den = Polynomial([1])
-        for j, e in sorted(_hw_exponents(c).items()):
-            factor = Polynomial([1, -(q**j)]) ** abs(e)
-            if e > 0:
-                den = den * factor
-            else:
-                num = num * factor
-        # The two sides collect disjoint sets of linear factors.
-        rational = RationalWitt.of(num, den, reduce=False)
-    g = GhostVector.of([sum(a * (q**m - 1) ** k for k, a in enumerate(c.a))
+    e = _l_poly(c)
+    g = GhostVector.of([e.substitute_power(m) if symbolic else e(q**m)
                         for m in range(1, trunc + 1)])
-    return HWZeta(c, q, g, rational)
+    if symbolic or not with_rational:
+        return HWZeta(c, "q" if symbolic else q, g, None)
+    num = Polynomial([1])
+    den = Polynomial([1])
+    for j, ej in enumerate(e.coeffs):
+        factor = Polynomial([1, -(q**j)]) ** abs(ej)
+        if ej > 0:
+            den = den * factor
+        elif ej < 0:
+            num = num * factor
+    # The two sides collect disjoint sets of linear factors.
+    return HWZeta(c, q, g, RationalWitt.of(num, den, reduce=False))
 
 
-def z0(k: int, q: QParam, trunc: int = 12) -> tuple[RationalWitt | None, GhostVector]:
-    """(1 - t)^(-(q-1)^k): constant ghosts (q-1)^k; rational for integer q."""
+def z0(k: int, q: QParam, trunc: int = 12) -> GhostVector:
+    """Ghosts of (1 - t)^(-(q-1)^k): the constant (q-1)^k."""
     if k < 0:
         raise ValueError("z0 needs k >= 0")
-    if _require_symbolic(q):
-        value = (_Q - 1) ** k
-        return None, GhostVector.of([value] * trunc)
-    e = (q - 1) ** k
-    rational = RationalWitt.of([1], Polynomial([1, -1]) ** e)
-    return rational, GhostVector.of([e] * trunc)
+    return GhostVector.of([(_q_value(q) - 1) ** k] * trunc)
 
 
 def z1(k: int, q: QParam, trunc: int = 12) -> GhostVector:
     """Ghosts (1 + q + ... + q^(m-1))^k, the projective point-counts to the k."""
     if k < 0:
         raise ValueError("z1 needs k >= 0")
-    if _require_symbolic(q):
-        return GhostVector.of([Polynomial([1] * m) ** k for m in range(1, trunc + 1)])
-    return GhostVector.of([sum(q**j for j in range(m)) ** k for m in range(1, trunc + 1)])
+    qv = _q_value(q)
+    values, points = [], 0
+    for _ in range(trunc):
+        points = points * qv + 1
+        values.append(points**k)
+    return GhostVector.of(values)
 
 
 def hw_quotient_check(k: int, q: QParam, trunc: int = 12) -> GhostVector:
@@ -157,12 +144,9 @@ def hw_quotient_check(k: int, q: QParam, trunc: int = 12) -> GhostVector:
     This is the multiplicative Witt quotient (componentwise ghost
     division), not Witt subtraction.
     """
-    torus = TorifiedClass.of([0] * k + [1])
-    hw = hw_zeta(torus, q, trunc)
-    _, z0_ghost = z0(k, q, trunc)
-    quotient = ghost_divide(hw.ghost, z0_ghost)
-    expected = z1(k, q, trunc)
-    if quotient != expected:
+    hw = hw_zeta(TorifiedClass.torus(k), q, trunc, with_rational=False)
+    quotient = ghost_divide(hw.ghost, z0(k, q, trunc))
+    if quotient != z1(k, q, trunc):
         raise ArithmeticError("Witt quotient of the torus zeta does not match z1")
     return quotient
 

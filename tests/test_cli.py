@@ -79,6 +79,9 @@ def test_zeta_quotient_check(capsys):
     data = run_json(capsys, "zeta", "quotient-check", "--k", "1", "--q", "3",
                     "--trunc", "3")
     assert data == {"ghost": ["1", "4", "13"]}
+    data = run_json(capsys, "zeta", "quotient-check", "--k", "2", "--q", "100",
+                    "--trunc", "3")
+    assert data == {"ghost": ["1", "10201", "102030201"]}
 
 
 def test_witt_roundtrip(capsys):

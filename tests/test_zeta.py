@@ -81,13 +81,33 @@ def test_hw_symbolic():
     assert hw.rational is None
 
 
+def test_hw_ghosts_match_t_basis_formula():
+    # Oracle: the T-basis ghosts sum a_k (q^m - 1)^k, expanded directly.
+    rng = random.Random(101)
+    classes = [random_class(rng, degree=6, bound=9) for _ in range(12)]
+    classes += [TorifiedClass.zero(), TorifiedClass.point()]
+    trunc = 7
+    for c in classes:
+        for q in (2, 3, 7):
+            want = [sum(a * (q**m - 1) ** k for k, a in enumerate(c.a))
+                    for m in range(1, trunc + 1)]
+            got = hw_zeta(c, q, trunc).ghost.values
+            assert got == tuple(want) and all(type(v) is int for v in got)
+        sym = hw_zeta(c, "q", trunc).ghost
+        want = []
+        for m in range(1, trunc + 1):
+            qm_minus_1 = Polynomial([-1] + [0] * (m - 1) + [1])
+            want.append(sum((a * qm_minus_1**k for k, a in enumerate(c.a)), Polynomial()))
+        assert sym.values == tuple(want)
+        assert all(isinstance(v, Polynomial) for v in sym.values)
+        for q in (2, 3, 7):
+            assert GhostVector.of([v(q) for v in sym.values]) == hw_zeta(c, q, trunc).ghost
+
+
 def test_z0_z1():
-    r, g = z0(1, 3, trunc=4)
-    assert r == RationalWitt.of([1], Polynomial([1, -1]) ** 2)
-    assert g.values == (2, 2, 2, 2)
-    r0, g0 = z0(0, 5, trunc=3)
-    assert r0 == RationalWitt.of([1], [1, -1])
-    assert g0.values == (1, 1, 1)
+    assert z0(1, 3, trunc=4).values == (2, 2, 2, 2)
+    assert z0(0, 5, trunc=3).values == (1, 1, 1)
+    assert z0(2, "q", trunc=2).values == ((Polynomial([0, 1]) - 1) ** 2,) * 2
     sym = z1(2, "q", trunc=3)
     assert sym.values[1] == Polynomial([1, 1]) ** 2  # (1+q)^2
     assert z1(1, 3, trunc=4).values == (1, 4, 13, 40)
@@ -103,6 +123,9 @@ def test_quotient_check():
     for k in range(5):
         sym = hw_quotient_check(k, "q", trunc=6)
         assert sym == z1(k, "q", trunc=6)
+    # Large q or k: no dense (1 - t)^((q-1)^k) is built.
+    assert hw_quotient_check(2, 100, trunc=3).values == (1, 10201, 102030201)
+    assert hw_quotient_check(100, 3, trunc=3) == z1(100, 3, trunc=3)
 
 
 def test_quotient_check_mismatch_raises(monkeypatch):
