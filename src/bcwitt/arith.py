@@ -121,10 +121,11 @@ class Polynomial:
         d = other.degree
         lead = other.coeffs[-1]
         for k in range(len(rem) - 1, d - 1, -1):
-            c = Fraction(rem[k]) / lead
+            # A monic divisor keeps the quotient in the dividend's ring.
+            c = rem[k] if lead == 1 else _norm_coeff(Fraction(rem[k]) / lead)
             if c == 0:
                 continue
-            q[k - d] = _norm_coeff(c)
+            q[k - d] = c
             for j, b in enumerate(other.coeffs):
                 rem[k - d + j] -= c * b
         return Polynomial(q), Polynomial(rem)
@@ -297,15 +298,26 @@ def stirling2(k: int, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic(m: int) -> Polynomial:
-    """The m-th cyclotomic polynomial, monic with integer coefficients."""
+    """The m-th cyclotomic polynomial, monic with integer coefficients.
+
+    Phi_m = prod_{d | m} (1 - t^d)^mu(m/d), negated for m = 1, as power
+    series truncated at degree phi(m): multiplying by 1 - t^d and dividing
+    by it are in-place integer updates (Arnold-Monagan, Math. Comp. 2011).
+    """
     if m < 1:
         raise ValueError("cyclotomic needs m >= 1")
-    # t^m - 1 divided by the product of all lower cyclotomic factors.
-    num = Polynomial([-1] + [0] * (m - 1) + [1])
+    n = totient(m)
+    a = [1] + [0] * n
     for d in divisors(m):
-        if d < m:
-            num = num.exact_div(cyclotomic(d))
-    if num.degree != totient(m) or not num.is_integral():
+        mu = moebius(m // d)
+        if mu == 1:
+            for i in range(n, d - 1, -1):
+                a[i] -= a[i - d]
+        elif mu == -1:
+            for i in range(d, n + 1):
+                a[i] += a[i - d]
+    num = Polynomial([-c for c in a] if m == 1 else a)
+    if num.degree != n or num.coeffs[-1] != 1:
         raise ArithmeticError(f"cyclotomic({m}) came out as {num!r}")
     return num
 

@@ -21,7 +21,8 @@ closed form: with m = lcm(m_i),
     s_d = (1/d) sum_{k | d} F_k mu(d/k),
     F_k = prod_i Phi_{m_i/(k, m_i)}(1) ^ (phi(m_i)/phi(m_i/(k, m_i))),
 
-where Phi(1) is evaluated directly on the polynomial.  The expansion of
+where Phi_r(1) is p for a prime power r = p^a, 0 for r = 1 (so F_k = 0
+when some m_i divides k) and 1 otherwise.  The expansion of
 the closed form is checked against the exponential series in the tests.
 
 The spectral Euler characteristic of a quasi-unipotent matrix collects its
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .arith import cyclotomic, cyclotomic_factor, divisors, moebius, totient
+from .arith import cyclotomic_factor, divisors, factorize, moebius, totient
 from .errors import DegenerateIterate
 from . import linalg
 from .linalg import Matrix
@@ -111,6 +112,14 @@ class LefschetzZeta:
         return {"exponents": {str(d): s for d, s in self.exponents}}
 
 
+def _cyclotomic_at_one(r: int) -> int:
+    """Phi_r(1): p when r = p^a, 0 when r = 1, 1 otherwise."""
+    if r == 1:
+        return 0
+    primes = factorize(r)
+    return next(iter(primes)) if len(primes) == 1 else 1
+
+
 def lefschetz_zeta_closed(f: ToralMap) -> LefschetzZeta:
     """Exact closed form for a quasi-unipotent toral map."""
     indices = cyclotomic_factor(linalg.charpoly(f.matrix))
@@ -122,7 +131,7 @@ def lefschetz_zeta_closed(f: ToralMap) -> LefschetzZeta:
         acc = 1
         for mi in indices:
             reduced = mi // math.gcd(k, mi)
-            acc *= cyclotomic(reduced)(1) ** (totient(mi) // totient(reduced))
+            acc *= _cyclotomic_at_one(reduced) ** (totient(mi) // totient(reduced))
         f_k[k] = acc
     exponents = {}
     for d in divisors(m):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -147,3 +148,37 @@ def test_poly_gcd():
     assert poly_gcd(a, b) == Polynomial([-1, 1])
     assert poly_gcd(a, Polynomial()).exact_div(Polynomial([-1, 1]) * Polynomial([1, 0, 1])).degree == 0
     assert poly_gcd(b, a * b) == poly_gcd(b, b)
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 400):
+        expected = sympy.cyclotomic_poly(m, x, polys=True).all_coeffs()[::-1]
+        assert cyclotomic(m).coeffs == tuple(int(c) for c in expected)
+
+
+def test_divmod_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(607)
+
+    def coeff(rational):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rational else rng.randint(-9, 9)
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)] or [0], x, domain="QQ")
+
+    for trial in range(200):
+        rational, monic = trial % 2 == 1, trial % 4 < 2
+        a = Polynomial([coeff(rational) for _ in range(rng.randint(0, 12))])
+        b = Polynomial([coeff(rational) for _ in range(rng.randint(0, 5))] + [1])
+        if not monic:
+            b = b * rng.choice([2, -3, Fraction(5, 7)])
+        q, r = divmod(a, b)
+        sq, sr = sympy.div(to_sympy(a), to_sympy(b))
+        assert to_sympy(q) == sq and to_sympy(r) == sr
+        assert q * b + r == a
+        if monic and a.is_integral() and b.is_integral():
+            assert q.is_integral() and r.is_integral()

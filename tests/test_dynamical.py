@@ -1,13 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from bcwitt.arith import Polynomial, cyclotomic, totient
+from bcwitt.arith import Polynomial, cyclotomic, cyclotomic_factor, totient
 from bcwitt.dynamical import (
     LefschetzZeta,
     ToralMap,
+    _cyclotomic_at_one,
     artin_mazur_series,
     lefschetz_numbers,
     lefschetz_zeta_closed,
@@ -19,7 +21,7 @@ from bcwitt.dynamical import (
 from bcwitt.errors import DegenerateIterate, NotQuasiUnipotent
 from bcwitt import linalg
 from bcwitt.qz import QZElement, rho, sigma
-from bcwitt.witt import WittVector, ghost
+from bcwitt.witt import GhostVector, WittVector, ghost, unghost
 
 ROT = ToralMap.of([[0, -1], [1, 0]])
 
@@ -73,6 +75,14 @@ def test_lefschetz_numbers_match_power_determinants():
         assert lefschetz_numbers(f, 24) == expected
 
 
+def exterior_trace(m, k):
+    """Trace of the k-th exterior power: sum of principal k x k minors."""
+    if k == 0:
+        return 1
+    return sum(linalg.det(tuple(tuple(m[i][j] for j in rows) for i in rows))
+               for rows in combinations(range(len(m)), k))
+
+
 def test_lefschetz_numbers_exterior_trace_oracle():
     rng = random.Random(101)
     for _ in range(15):
@@ -81,7 +91,7 @@ def test_lefschetz_numbers_exterior_trace_oracle():
         nums = lefschetz_numbers(f, 8)
         for n in range(1, 9):
             power = linalg.mat_pow(f.matrix, n)
-            alt = sum((-1) ** k * linalg.exterior_trace(power, k) for k in range(d + 1))
+            alt = sum((-1) ** k * exterior_trace(power, k) for k in range(d + 1))
             assert nums[n - 1] == alt
 
 
@@ -91,6 +101,11 @@ def test_lefschetz_zeta_series():
     closed = LefschetzZeta.of({1: 2, 2: -1})
     assert lefschetz_zeta_series(ToralMap.of([[-1]]), 12) == closed.expand(12)
     assert ghost(lefschetz_zeta_series(ROT, 8)).values == (2, 4, 2, 0, 2, 4, 2, 0)
+
+
+def test_cyclotomic_at_one():
+    for r in range(1, 501):
+        assert _cyclotomic_at_one(r) == cyclotomic(r)(1)
 
 
 def test_lefschetz_zeta_closed_examples():
@@ -229,3 +244,145 @@ def test_verschiebung_block_power():
     block = verschiebung_block(3, f)
     cube = linalg.mat_pow(block, 3)
     assert cube == linalg.block_diag(f.matrix, linalg.block_diag(f.matrix, f.matrix))
+
+
+def power_trace_char_series(m):
+    """det(1 - t M) from power traces: its ghosts are -trace(M^k) (Newton's
+    identities), and it stops at degree dim."""
+    n = len(m)
+    if n == 0:
+        return Polynomial([1])
+    power, traces = m, [-sum(m[i][i] for i in range(n))]
+    for _ in range(n - 1):
+        power = linalg.mat_mul(power, m)
+        traces.append(-sum(power[i][i] for i in range(n)))
+    return Polynomial([1, *unghost(GhostVector.of(traces)).coeffs])
+
+
+def _random_matrices(seed, count, max_dim):
+    """Cycles through integer entries in [-3, 3], in [-10^6, 10^6], and rationals."""
+    rng = random.Random(seed)
+    entries = (lambda: rng.randint(-3, 3), lambda: rng.randint(-10**6, 10**6),
+               lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+    for trial in range(count):
+        d = rng.randint(1, max_dim)
+        entry = entries[trial % 3]
+        yield linalg.as_matrix([[entry() for _ in range(d)] for _ in range(d)])
+
+
+def _same(p, q):
+    return p == q and [type(c) for c in p.coeffs] == [type(c) for c in q.coeffs]
+
+
+def test_char_series_matches_power_traces():
+    for m in _random_matrices(601, 60, 14):
+        assert _same(linalg.char_series(m), power_trace_char_series(m))
+    # At d <= 32 the oracle's Fraction products are slow; sympy checks rationals there.
+    for m in _random_matrices(602, 9, 32):
+        if all(isinstance(x, int) for row in m for x in row):
+            assert _same(linalg.char_series(m), power_trace_char_series(m))
+
+
+def test_char_series_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _random_matrices(603, 30, 32):
+        # det(x - M), lead first, is det(1 - t M) in ascending order.
+        expected = sympy.Matrix(m).charpoly().all_coeffs()
+        expected = Polynomial([Fraction(int(c.p), int(c.q)) for c in expected])
+        assert linalg.char_series(m) == expected
+
+
+def test_char_series_picks_large_primes():
+    # Entries up to 10^6 at d = 32 need a prime past 2^127 - 1.
+    rng = random.Random(604)
+    m = linalg.as_matrix([[rng.randint(-10**6, 10**6) for _ in range(32)] for _ in range(32)])
+    r2 = max(sum(x * x for x in row) for row in m)
+    square = max(4 * math.comb(32, k) ** 2 * r2**k for k in range(33))
+    assert linalg._mersenne_prime_above(square) > 2**127 - 1
+    assert _same(linalg.char_series(m), power_trace_char_series(m))
+
+
+def test_char_series_edge_cases():
+    assert linalg.char_series(()) == Polynomial([1])
+    assert linalg.char_series(((5,),)) == Polynomial([1, -5])
+    assert linalg.char_series(((Fraction(3, 4),),)).coeffs == (1, Fraction(-3, 4))
+    for d in (1, 2, 5, 9):
+        zero = linalg.as_matrix([[0] * d for _ in range(d)])
+        assert linalg.char_series(zero) == Polynomial([1])
+    rng = random.Random(605)
+    for d in (2, 3, 6, 11):
+        # Strictly triangular: nilpotent, with no pivot in any column.
+        upper = linalg.as_matrix([[rng.randint(-4, 4) if j > i else 0 for j in range(d)]
+                                  for i in range(d)])
+        lower = linalg.as_matrix([[upper[j][i] for j in range(d)] for i in range(d)])
+        assert linalg.char_series(upper) == Polynomial([1])
+        assert linalg.char_series(lower) == Polynomial([1])
+        # With a diagonal added: prod (1 - a_i t).
+        diag = [rng.randint(-3, 3) for _ in range(d)]
+        tri = linalg.as_matrix([[upper[i][j] + (diag[i] if i == j else 0) for j in range(d)]
+                                for i in range(d)])
+        expected = Polynomial([1])
+        for a in diag:
+            expected = expected * Polynomial([1, -a])
+        assert linalg.char_series(tri) == expected
+    # Companion blocks in a permuted basis: zero columns and row swaps.
+    for _ in range(20):
+        block = cyclotomic_companion(rng.choice([1, 2, 3, 4, 6])).matrix
+        for _ in range(rng.randint(1, 3)):
+            other = cyclotomic_companion(rng.choice([1, 2, 3, 4, 6]))
+            block = linalg.block_diag(block, other.matrix)
+        perm = list(range(len(block)))
+        rng.shuffle(perm)
+        m = linalg.as_matrix([[block[i][j] for j in perm] for i in perm])
+        assert _same(linalg.char_series(m), power_trace_char_series(m))
+
+
+def _lucas_lehmer(e):
+    """Whether 2^e - 1 is prime, for prime e."""
+    if e == 2:
+        return True
+    p, s = (1 << e) - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % p
+    return s == 0
+
+
+def test_mersenne_table_is_prime():
+    small = [e for e in linalg._MERSENNE_EXPONENTS if e <= 4423]
+    assert len(small) == 20
+    assert all(_lucas_lehmer(e) for e in small)
+    assert not _lucas_lehmer(11) and not _lucas_lehmer(23)
+
+
+def test_mersenne_choice():
+    assert linalg._mersenne_prime_above(0) == 3
+    assert linalg._mersenne_prime_above(8) == 3
+    assert linalg._mersenne_prime_above(9) == 7
+    assert linalg._mersenne_prime_above((2**127 - 1) ** 2 - 1) == 2**127 - 1
+    assert linalg._mersenne_prime_above((2**127 - 1) ** 2) == 2**521 - 1
+    # Past the table; no matrix this large is ever built.
+    with pytest.raises(ValueError):
+        linalg._mersenne_prime_above(1 << (2 * linalg._MERSENNE_EXPONENTS[-1] + 1))
+
+
+def test_not_quasi_unipotent_degree():
+    """NotQuasiUnipotent names the degree of the non-cyclotomic part."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(606)
+    partly_cyclotomic = 0
+    for _ in range(150):
+        d = rng.randint(2, 6)
+        m = linalg.as_matrix([[rng.randint(-1, 1) for _ in range(d)] for _ in range(d)])
+        cp = linalg.charpoly(m)
+        leftover = sum(factor.degree() * mult for factor, mult in
+                       sympy.Poly(list(reversed(cp.coeffs)), x).factor_list()[1]
+                       if not factor.is_cyclotomic)
+        if leftover == 0:
+            assert sum(totient(i) for i in cyclotomic_factor(cp)) == d
+            continue
+        partly_cyclotomic += leftover < d
+        with pytest.raises(NotQuasiUnipotent) as err:
+            cyclotomic_factor(cp)
+        assert err.value.detail == f"non-cyclotomic factor of degree {leftover} remains"
+    assert partly_cyclotomic > 10
