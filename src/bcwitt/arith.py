@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import NotQuasiUnipotent
 
@@ -28,9 +28,101 @@ Coeff = Union[int, Fraction]
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
+    # Fraction's isinstance check goes through ABCMeta; the exact type
+    # test is several times cheaper and runs on every coefficient built.
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
+
+
+# Many primes each needed to a low power late in a vector (1/m, 1/m!) make
+# the least cover their primorial, and x_m E^m then outgrows the
+# denominators the Fraction path carries: 1/m at N = 120 needs E ~ 2^155
+# and ran 6x slower.  No such E is taken.
+_CLEAR_MAX_BITS = 64
+
+
+@lru_cache(maxsize=None)
+def _small_primes() -> tuple[tuple[int, ...], int]:
+    """The primes below 1000 and their product (built on first use, not at
+    import, which every CLI call pays)."""
+    ps = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+    return ps, math.prod(ps)
+
+
+def _least_cover(r: int, m: int) -> int:
+    """Least f with p^v | f^m for every p^v || r with p < 1000."""
+    primes, primorial = _small_primes()
+    g = math.gcd(r, primorial)
+    f = 1
+    for p in primes:
+        if g == 1:
+            break
+        if not g % p:
+            g //= p
+            v = 0
+            while not r % p:
+                r //= p
+                v += 1
+            f *= p ** -(-v // m)
+    return f
+
+
+def _clear(xs: Sequence[Coeff], E: int = 1) -> tuple[int, Sequence[Coeff]]:
+    """Scale x_1, x_2, ... to x_m * E^m, the homothety t -> E t.
+
+    On power series 1 + sum x_m t^m this is Witt multiplication by the
+    Teichmueller [E]: it multiplies ghosts N_m by E^m as well, commutes with
+    the series quotient, and maps ghost to ghost and unghost to unghost.
+    E starts at the given value and grows one index at a time: when
+    den(x_m) does not divide E^m, E is multiplied by the least f that makes
+    the p-part of the residual divide (E f)^m for every prime p < 1000, and
+    by the whole residual at m = 1.  So den(x_m) | E^m for 1000-smooth
+    denominators, and E is the least such value; any other part of a
+    denominator stays in the scaled Fraction.  If E would pass
+    _CLEAR_MAX_BITS bits, it keeps its starting value instead.  With E = 1
+    throughout, xs itself comes back.
+    """
+    E0, Em = E, 1
+    for m, x in enumerate(xs, 1):
+        Em *= E
+        if type(x) is Fraction:
+            d = x.denominator
+            r = d // math.gcd(d, Em)
+            if r > 1:
+                f = r if m == 1 else _least_cover(r, m)
+                if f > 1:
+                    E *= f
+                    if E.bit_length() > _CLEAR_MAX_BITS:
+                        E = E0
+                        break
+                    Em = E**m
+    if E == 1:
+        return 1, xs
+    out = []
+    Em = 1
+    for x in xs:
+        Em *= E
+        if type(x) is Fraction:
+            q, rem = divmod(Em, x.denominator)
+            out.append(x * Em if rem else x.numerator * q)
+        else:
+            out.append(x * Em)
+    return E, out
+
+
+def _unclear(bs: Sequence[Coeff], E: int) -> Sequence[Coeff]:
+    """Undo :func:`_clear`: b_m / E^m, reduced once per entry (bs itself
+    when E = 1)."""
+    if E == 1:
+        return bs
+    out = []
+    Em = 1
+    for b in bs:
+        Em *= E
+        q, r = divmod(b, Em)
+        out.append(Fraction(b, Em) if r else q)
+    return out
 
 
 class Polynomial:
@@ -322,6 +414,13 @@ def cyclotomic(m: int) -> Polynomial:
     return num
 
 
+@lru_cache(maxsize=None)
+def _small_totients(deg: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (d, phi(d)) with phi(d) <= deg, ascending in d."""
+    # totient(d) >= sqrt(d/2), so indices beyond 2*deg^2 + 1 cannot qualify.
+    return tuple((d, phi) for d in range(1, 2 * deg * deg + 2) if (phi := totient(d)) <= deg)
+
+
 def cyclotomic_factor(p: Polynomial) -> list[int]:
     """Factor +-p into cyclotomics, returning the sorted index multiset.
 
@@ -336,12 +435,10 @@ def cyclotomic_factor(p: Polynomial) -> list[int]:
     if p.coeffs[-1] != 1:
         raise ValueError("cyclotomic_factor expects a polynomial monic up to sign")
     out: list[int] = []
-    # totient(d) >= sqrt(d/2), so indices beyond 2*deg^2 cannot divide.
-    bound = 2 * p.degree * p.degree + 1
-    for d in range(1, bound + 1):
+    for d, phi in _small_totients(p.degree):
         if p.degree == 0:
             break
-        if totient(d) > p.degree:
+        if phi > p.degree:
             continue
         while True:
             q, r = divmod(p, cyclotomic(d))

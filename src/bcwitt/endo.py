@@ -19,6 +19,7 @@ that is irreducible of degree > 1 raises NotSplit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,7 +67,7 @@ class EndoObject:
     @staticmethod
     def from_json(data: dict) -> "EndoObject":
         flat = [Fraction(x) for x in data["matrix"]]
-        n = int(round(len(flat) ** 0.5))
+        n = math.isqrt(len(flat))
         if n * n != len(flat):
             raise ValueError("matrix entries must form a square")
         return EndoObject.of([flat[i * n:(i + 1) * n] for i in range(n)])

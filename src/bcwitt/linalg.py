@@ -15,7 +15,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .arith import Polynomial
+from .arith import Polynomial, _unclear
 
 Entry = Union[int, Fraction]
 Matrix = tuple[tuple[Entry, ...], ...]
@@ -160,7 +160,7 @@ def char_series(m: Matrix) -> Polynomial:
         qs.append([x % p for x in new])
     half = p >> 1
     lifted = [c - p if c > half else c for c in qs[n]]
-    return Polynomial(lifted if den == 1 else [Fraction(c, den**k) for k, c in enumerate(lifted)])
+    return Polynomial(lifted[:1] + _unclear(lifted[1:], den))
 
 
 def charpoly(m: Matrix) -> Polynomial:

@@ -8,8 +8,17 @@ recursion
     m * c_m = N_m + sum_{j=1}^{m-1} N_j c_{m-j},
 
 used in both directions (ghost <-> coefficients) in plain int/Fraction
-arithmetic: integral input stays in Z, and a Fraction appears only where
-the division by m in ``unghost`` is inexact.  ``ghost`` stops the sum at
+arithmetic.  Rational input is first scaled by the homothety t -> E t
+(Witt multiplication by the Teichmueller [E]; Hazewinkel, *Witt vectors,
+Part 1*, arXiv:0804.3888, section 9), which multiplies c_m and N_m alike
+by E^m: ``arith._clear`` picks the least E that makes the scaled values
+integral, the loops run on them in Z, and ``arith._unclear`` divides by
+E^m once per entry at the end.  So a Fraction appears mid-loop only where
+the division by m in ``unghost`` is inexact, or for the part of a
+denominator that ``_clear`` leaves alone (primes above 1000 after the
+first entry, or a cover past its bit cap).  ``series_div`` runs on the
+same homothety; ``series_mul`` does not, because a product has no powers
+of its entries, so E^m would only inflate it.  ``ghost`` stops the sum at
 the last nonzero coefficient, so a polynomial padded to truncation N costs
 O(N * degree).  ``ghost``, ``unghost``, ``series_mul`` and ``series_div``
 are the package's only Newton and convolution loops; the matrix layers
@@ -34,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .arith import Polynomial, _norm_coeff, poly_gcd
+from .arith import Polynomial, _clear, _norm_coeff, _unclear, poly_gcd
 from .errors import NotDivisible, TruncationTooSmall
 
 Scalar = Union[int, Fraction]
@@ -132,13 +141,16 @@ def series_mul(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]
 
 def series_div(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]:
     """Coefficients 1..n of (1 + sum a_m t^m) / (1 + sum b_m t^m)."""
+    # The second pass over a only scales: the E that covers b covers a too.
+    E, b = _clear(b, _clear(a)[0])
+    E, a = _clear(a, E)
     out: list[Scalar] = [1]
     for m in range(1, n + 1):
         s = a[m - 1] if m <= len(a) else 0
         for j in range(1, min(m, len(b)) + 1):
             s -= b[j - 1] * out[m - j]
         out.append(_norm_coeff(s))
-    return out[1:]
+    return _unclear(out[1:], E)
 
 
 # ------------------------------------------------------------- ghost bridge
@@ -149,27 +161,28 @@ def ghost(w: WittVector) -> GhostVector:
     deg = len(c)
     while deg and not c[deg - 1]:
         deg -= 1
+    E, c = _clear(c[:deg])
     ns: list[Scalar] = []
     for m in range(1, w.trunc + 1):
         s = m * c[m - 1] if m <= deg else 0
         for i in range(1, min(m, deg + 1)):
             s -= c[i - 1] * ns[m - i - 1]
         ns.append(_norm_coeff(s))
-    return GhostVector(w.trunc, tuple(ns))
+    return GhostVector(w.trunc, tuple(_unclear(ns, E)))
 
 
 def unghost(g: GhostVector) -> WittVector:
     """Series with the given ghost components (exp of the generating series)."""
     if g.is_symbolic():
         raise ValueError("cannot expand a symbolic ghost vector; take q -> value first")
-    v = g.values
+    E, v = _clear(g.values)
     cs: list[Scalar] = []
     for m in range(1, g.trunc + 1):
         s = v[m - 1]
         for j in range(1, m):
             s += v[j - 1] * cs[m - j - 1]
         cs.append(s // m if isinstance(s, int) and not s % m else _norm_coeff(Fraction(s, m)))
-    return WittVector(g.trunc, tuple(cs))
+    return WittVector(g.trunc, tuple(_unclear(cs, E)))
 
 
 # ------------------------------------------------------------ ring structure

@@ -131,6 +131,48 @@ def test_cyclotomic_factor_roundtrip_random():
         assert cyclotomic_factor(prod) == sorted(ms)
 
 
+def _cyclotomic_factor_oracle(p):
+    """The trial loop as it ran before the (d, phi(d)) pairs were cached."""
+    if p.coeffs[-1] == -1:
+        p = -p
+    out = []
+    for d in range(1, 2 * p.degree * p.degree + 2):
+        if p.degree == 0:
+            break
+        if totient(d) > p.degree:
+            continue
+        while True:
+            q, r = divmod(p, cyclotomic(d))
+            if not r.is_zero():
+                break
+            out.append(d)
+            p = q
+    if p.degree > 0 or p.coeffs[0] != 1:
+        raise NotQuasiUnipotent(f"non-cyclotomic factor of degree {p.degree} remains")
+    return out
+
+
+def test_cyclotomic_factor_matches_trial_loop():
+    rng = random.Random(20261018)
+
+    def outcome(f, p):
+        try:
+            return f(p)
+        except NotQuasiUnipotent as exc:
+            return str(exc)
+
+    polys = [Polynomial([1]), Polynomial([-1]), Polynomial([2, 1]), Polynomial([-1, 1])]
+    for _ in range(60):
+        p = Polynomial([rng.choice((-1, 1))])
+        for _ in range(rng.randint(0, 4)):
+            p = p * cyclotomic(rng.choice((1, 2, 3, 4, 5, 6, 7, 9, 12, 15, 30, 60)))
+        if rng.random() < 0.5:
+            p = p * Polynomial([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [1])
+        polys.append(p)
+    for p in polys:
+        assert outcome(cyclotomic_factor, p) == outcome(_cyclotomic_factor_oracle, p)
+
+
 def test_polynomial_arithmetic():
     p = Polynomial([1, 2, 3])
     q = Polynomial([0, 1])

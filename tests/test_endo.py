@@ -129,3 +129,7 @@ def test_json_roundtrip():
     e = EndoObject.of([[0, Fraction(1, 2)], [1, 0]])
     assert EndoObject.from_json(e.to_json()) == e
     assert e.to_json() == {"matrix": ["0", "1/2", "1", "0"]}
+    assert EndoObject.from_json({"matrix": []}) == EndoObject.of([])
+    for size in (2, 8, 24, 26, 99):
+        with pytest.raises(ValueError):
+            EndoObject.from_json({"matrix": ["1"] * size})

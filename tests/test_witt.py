@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bcwitt.arith import Polynomial
+from bcwitt.arith import _CLEAR_MAX_BITS, Polynomial, _clear, _unclear
 from bcwitt.errors import NotDivisible, TruncationTooSmall
 from bcwitt.witt import (
     GhostVector,
@@ -15,6 +15,7 @@ from bcwitt.witt import (
     ghost_divide,
     rational_div,
     series_div,
+    series_mul,
     teichmuller,
     unghost,
     verschiebung,
@@ -250,3 +251,223 @@ def test_newton_kernel_against_sympy():
         a, b = mixed(rng.randint(0, n), integral), mixed(rng.randint(0, n), integral)
         ratio = rs_mul(series(a), rs_series_inversion(series(b), t, n + 1), t, n + 1)
         assert series_div(a, b, n) == coeffs(ratio, n)
+
+
+# ------------------------------------------- Fraction-path kernels (oracles)
+# Reference Newton and convolution loops in plain int/Fraction arithmetic,
+# normalized per step, with no homothety t -> E t.
+
+def _norm(c):
+    return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _ghost_oracle(c):
+    ns = []
+    for m in range(1, len(c) + 1):
+        s = m * c[m - 1]
+        for i in range(1, m):
+            s -= c[i - 1] * ns[m - i - 1]
+        ns.append(_norm(s))
+    return ns
+
+
+def _unghost_oracle(v):
+    cs = []
+    for m in range(1, len(v) + 1):
+        s = v[m - 1]
+        for j in range(1, m):
+            s += v[j - 1] * cs[m - j - 1]
+        cs.append(s // m if isinstance(s, int) and not s % m else _norm(Fraction(s, m)))
+    return cs
+
+
+def _series_mul_oracle(a, b, n):
+    a, b = (1, *a), (1, *b)
+    out = []
+    for m in range(1, n + 1):
+        lo, hi = max(0, m - len(b) + 1), min(m, len(a) - 1)
+        out.append(_norm(sum(a[i] * b[m - i] for i in range(lo, hi + 1))))
+    return out
+
+
+def _series_div_oracle(a, b, n):
+    out = [1]
+    for m in range(1, n + 1):
+        s = a[m - 1] if m <= len(a) else 0
+        for j in range(1, min(m, len(b)) + 1):
+            s -= b[j - 1] * out[m - j]
+        out.append(_norm(s))
+    return out[1:]
+
+
+def _typed(xs):
+    return [(type(x), x) for x in xs]
+
+
+def _next_prime(n):
+    n += 1
+    while any(n % q == 0 for q in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def _adversarial(n, rng):
+    """Denominator patterns that stress the choice of E, at length n."""
+    def ones_with(k, x):
+        cs = [1] * n
+        cs[k - 1] = x
+        return cs
+
+    rough, smooth, p, q = [], [], 1000, 1
+    for _ in range(n):
+        p = _next_prime(p)
+        q = _next_prime(q) if q < 997 else 2
+        rough.append(Fraction(rng.randint(-9, 9) or 1, p))
+        smooth.append(Fraction(rng.randint(1, 9), q))
+    dense = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+    half = max(n // 2, 1)
+    return {
+        "one 1/2^n at n": ones_with(n, Fraction(1, 2**n)),
+        "one 1/3^(n/2) at n/2": ones_with(half, Fraction(1, 3**half)),
+        "one 1/997^(n/2) at n/2": ones_with(half, Fraction(1, 997**half)),
+        "one 1/(p^(n/2-1) q^(n/2)), p, q > 1000": ones_with(
+            half, Fraction(1, 1009 ** (half - 1) * 1013**half)),
+        "1/9^m": [Fraction(1, 9**m) for m in range(1, n + 1)],
+        "first entry 1/(2^61 - 1)": ones_with(1, Fraction(1, 2**61 - 1)),
+        "rough: k/p_m, p_m > 1000": rough,
+        "one 1/997 at n": ones_with(n, Fraction(1, 997)),
+        "k/p_m, p_m < 1000": smooth,
+        "1/m": [Fraction(1, m) for m in range(1, n + 1)],
+        "k/m!": [Fraction(rng.randint(1, 9), math.factorial(m)) for m in range(1, n + 1)],
+        "a/b, b <= 9": dense,
+        "a/b, b <= 9, one 1/1000003": dense[:half] + [Fraction(1, 1000003)] + dense[half + 1:],
+    }
+
+
+def _check_kernels(a, b):
+    """Each kernel, and the Witt product, against its Fraction-path oracle."""
+    n = len(a)
+    wa, wb = WittVector.from_coeffs(a), WittVector.from_coeffs(b)
+    ga, gb = ghost(wa), ghost(wb)
+    assert _typed(ga.values) == _typed(_ghost_oracle(wa.coeffs))
+    assert _typed(unghost(ga).coeffs) == _typed(_unghost_oracle(ga.values))
+    prod = ga * gb
+    assert _typed(unghost(prod).coeffs) == _typed(_unghost_oracle(prod.values))
+    assert _typed(series_mul(wa.coeffs, wb.coeffs, n)) == _typed(
+        _series_mul_oracle(wa.coeffs, wb.coeffs, n))
+    assert _typed(series_div(wa.coeffs, wb.coeffs, n)) == _typed(
+        _series_div_oracle(wa.coeffs, wb.coeffs, n))
+    assert _typed(series_div((), wb.coeffs, n)) == _typed(_series_div_oracle((), wb.coeffs, n))
+
+
+def test_kernels_match_fraction_path_random():
+    rng = random.Random(311)
+
+    def vec(n, kind):
+        if kind == "int":
+            return [rng.randint(-9, 9) for _ in range(n)]
+        if kind == "rational":
+            return [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+        return [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 1, 2, 5, 7, 1009)))
+                for _ in range(n)]
+
+    for n in (1, 2, 3, 7, 12, 36, 120):
+        for kind in ("int", "rational", "mixed"):
+            _check_kernels(vec(n, kind), vec(n, kind))
+    # Short polynomial sides, as RationalWitt.expand passes them.
+    for _ in range(10):
+        a, b = vec(rng.randint(0, 4), "rational"), vec(rng.randint(0, 4), "mixed")
+        assert _typed(series_div(a, b, 40)) == _typed(_series_div_oracle(a, b, 40))
+    padded = WittVector.from_coeffs([Fraction(1, 6), 0, Fraction(-2, 9)], 40)
+    assert _typed(ghost(padded).values) == _typed(_ghost_oracle(padded.coeffs))
+
+
+def test_kernels_match_fraction_path_adversarial():
+    rng = random.Random(313)
+    families = list(_adversarial(40, rng).values())
+    for cs in families:
+        _check_kernels(cs, cs[1:] + cs[:1])
+    # Mixed pairs: one side's E may cover the other, or stop at the cap.
+    for a, b in zip(families, families[1:] + families[:1]):
+        _check_kernels(a, b)
+        _check_kernels(b, a)
+
+
+def test_kernels_match_fraction_path_edge_cases():
+    rng = random.Random(317)
+    # Ghost vectors that come from no integral Witt vector: division by m
+    # is inexact, and the Fraction it leaves rides through the scaled loop.
+    for n in (1, 2, 5, 24):
+        for dens in ((1,), (1, 2, 3, 7), (1, 1000003)):
+            g = GhostVector.of([Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)])
+            assert _typed(unghost(g).coeffs) == _typed(_unghost_oracle(g.values))
+    for n in (1, 4):
+        zero = WittVector.one(n)
+        assert ghost(zero).values == (0,) * n
+        assert _typed(unghost(GhostVector.of([0] * n)).coeffs) == _typed([0] * n)
+        _check_kernels([0] * n, [0] * n)
+    for x in (5, Fraction(1, 3), Fraction(-7, 2**61 - 1)):
+        _check_kernels([x], [Fraction(2, 9)])
+
+
+_PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+
+
+def _least_cover_oracle(xs):
+    """lcm of den(x_1) and, for each prime p < 1000, p^max_m ceil(v_p(den x_m) / m)."""
+    dens = [Fraction(x).denominator for x in xs]
+    cover = dens[0] if dens else 1
+    for p in _PRIMES_BELOW_1000:
+        e = 0
+        for m, d in enumerate(dens, 1):
+            v = 0
+            while d % p == 0:
+                d //= p
+                v += 1
+            e = max(e, -(-v // m))
+        cover = math.lcm(cover, p**e)
+    return cover
+
+
+def _check_clear(xs, start=1):
+    E, scaled = _clear(xs, start)
+    assert E % start == 0
+    cover = math.lcm(start, _least_cover_oracle(xs))
+    assert E == (cover if cover.bit_length() <= _CLEAR_MAX_BITS else start)
+    primorial = math.prod(_PRIMES_BELOW_1000)
+    for m, (x, y) in enumerate(zip(xs, scaled), 1):
+        assert y == x * E**m
+        if E == cover:
+            # Covered: the first denominator entirely, later ones up to
+            # their primes above 1000.
+            assert Fraction(y).denominator == 1 if m == 1 else math.gcd(
+                Fraction(y).denominator, primorial) == 1
+    if E == 1:
+        assert scaled is xs and _unclear(scaled, E) is xs
+    else:
+        assert _typed(_unclear(scaled, E)) == _typed([_norm(x) for x in xs])
+    return E
+
+
+def test_clear_picks_the_least_cover():
+    rng = random.Random(331)
+    for n in (1, 36, 120):
+        for name, cs in _adversarial(n, rng).items():
+            E = _check_clear(cs)
+            if name == "1/m" and n == 120:
+                assert E == 1  # the primorial of 113 is past the cap
+        for _ in range(20):
+            cs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4, 8, 3, 9, 25, 7, 1009)))
+                  for _ in range(n)]
+            _check_clear(cs)
+            _check_clear(cs, 10)
+    # Exactly the least cover, not the residual: E is 6, not 2^59 * 3^60.
+    cs = [1] * 119 + [0]
+    cs[59] = Fraction(1, 2**59 * 3**60)
+    assert _check_clear(cs) == 6
+    assert _check_clear([Fraction(1, 2**120) if m == 120 else 1 for m in range(1, 121)]) == 2
+    assert _check_clear([Fraction(1, 1009 * 2**7)] + [Fraction(1, 1009)] * 5) == 1009 * 2**7
+    # Integral input: E stays, and the very same values come back.
+    ints = (3, -1, 0, 7)
+    assert _clear(ints) == (1, ints)
+    assert _unclear(ints, 1) is ints
