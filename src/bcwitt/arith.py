@@ -111,17 +111,17 @@ def _clear(xs: Sequence[Coeff], E: int = 1) -> tuple[int, Sequence[Coeff]]:
     return E, out
 
 
-def _unclear(bs: Sequence[Coeff], E: int) -> Sequence[Coeff]:
-    """Undo :func:`_clear`: b_m / E^m, reduced once per entry (bs itself
-    when E = 1)."""
-    if E == 1:
+def _unclear(bs: Sequence[Coeff], E: int, S: int = 1) -> Sequence[Coeff]:
+    """Undo :func:`_clear` and a common denominator S: b_m / (S E^m),
+    reduced once per entry (bs itself when E = S = 1)."""
+    if E == 1 and S == 1:
         return bs
     out = []
-    Em = 1
+    d = S
     for b in bs:
-        Em *= E
-        q, r = divmod(b, Em)
-        out.append(Fraction(b, Em) if r else q)
+        d *= E
+        q, r = divmod(b, d)
+        out.append(Fraction(b, d) if r else q)
     return out
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from .arith import cyclotomic_factor, divisors, factorize, moebius, totient
-from .errors import DegenerateIterate
+from .errors import DegenerateIterate, _json_list
 from . import linalg
 from .linalg import Matrix
 from .qz import QZElement
@@ -70,7 +70,8 @@ class ToralMap:
 
     @staticmethod
     def from_json(data: dict) -> "ToralMap":
-        return ToralMap.of(data["rows"])
+        rows = _json_list(data["rows"], "rows")
+        return ToralMap.of([_json_list(row, "each row") for row in rows])
 
 
 def lefschetz_numbers(f: ToralMap, trunc: int) -> list[int]:

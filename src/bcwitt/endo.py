@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Polynomial, _primitive_int, divisors
-from .errors import NotSplit
+from .errors import NotSplit, _json_list
 from . import linalg
 from .linalg import Matrix
 from .witt import RationalWitt
@@ -66,7 +66,7 @@ class EndoObject:
 
     @staticmethod
     def from_json(data: dict) -> "EndoObject":
-        flat = [Fraction(x) for x in data["matrix"]]
+        flat = [Fraction(x) for x in _json_list(data["matrix"], "matrix")]
         n = math.isqrt(len(flat))
         if n * n != len(flat):
             raise ValueError("matrix entries must form a square")

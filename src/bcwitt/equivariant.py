@@ -31,11 +31,11 @@ is, per base orbit, the multiset of total-orbit sizes lying over it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import _json_list
 from .qz import QZElement
 
 
@@ -110,7 +110,8 @@ class CyclicAction:
 
     @staticmethod
     def from_json(data: dict) -> "CyclicAction":
-        return CyclicAction.of(int(data["level"]), [int(x) for x in data["perm"]])
+        perm = _json_list(data["perm"], "perm")
+        return CyclicAction.of(int(data["level"]), [int(x) for x in perm])
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ class RelativeObject:
     def from_json(data: dict) -> "RelativeObject":
         return RelativeObject.of(CyclicAction.from_json(data["total"]),
                                  CyclicAction.from_json(data["base"]),
-                                 [int(x) for x in data["map"]])
+                                 [int(x) for x in _json_list(data["map"], "map")])
 
 
 # ------------------------------------------------------------- operations
@@ -219,39 +220,3 @@ def euler_char(a: CyclicAction) -> QZElement:
             acc[r] = acc.get(r, 0) + 1
     return QZElement.from_terms(acc)
 
-
-# -------------------------------------------------- constructions for tests
-
-def disjoint_union(a: CyclicAction, b: CyclicAction) -> CyclicAction:
-    """Union at the common level (lcm), b's points shifted past a's."""
-    level = math.lcm(a.level, b.level)
-    perm = list(a.perm) + [a.size + t for t in b.perm]
-    return CyclicAction(level, tuple(perm))
-
-
-def product(a: CyclicAction, b: CyclicAction) -> CyclicAction:
-    """Diagonal action on the product set, at level lcm(a.level, b.level)."""
-    level = math.lcm(a.level, b.level)
-    perm = [0] * (a.size * b.size)
-    for s in range(a.size):
-        for t in range(b.size):
-            perm[s * b.size + t] = a.perm[s] * b.size + b.perm[t]
-    return CyclicAction(level, tuple(perm))
-
-
-def relative_product(x: RelativeObject, y: RelativeObject) -> RelativeObject:
-    """Componentwise product with diagonal actions."""
-    total = product(x.total, y.total)
-    base = product(x.base, y.base)
-    fib = [0] * total.size
-    for s in range(x.total.size):
-        for t in range(y.total.size):
-            fib[s * y.total.size + t] = x.fibration[s] * y.base.size + y.fibration[t]
-    return RelativeObject.of(total, base, fib)
-
-
-def relative_disjoint_union(x: RelativeObject, y: RelativeObject) -> RelativeObject:
-    total = disjoint_union(x.total, y.total)
-    base = disjoint_union(x.base, y.base)
-    fib = list(x.fibration) + [x.base.size + b for b in y.fibration]
-    return RelativeObject.of(total, base, fib)

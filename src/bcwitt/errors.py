@@ -9,6 +9,15 @@ The ``kind`` is the class name.
 from __future__ import annotations
 
 
+def _json_list(x, what: str):
+    """x itself if it is a JSON list.  Payload readers call this where they
+    iterate, since a string or object there would be read one character or
+    key at a time; the TypeError is a malformed payload, not a DomainError."""
+    if not isinstance(x, (list, tuple)):
+        raise TypeError(f"{what} must be a JSON list")
+    return x
+
+
 class DomainError(Exception):
     """Base class for in-domain failures with a stable machine-readable kind."""
 

@@ -166,15 +166,6 @@ class SplitQZElement:
             ],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "SplitQZElement":
-        primes = frozenset(int(p) for p in data["F"])
-        acc: dict[tuple[Fraction, Fraction], int] = {}
-        for t in data["terms"]:
-            key = (Fraction(t["r_smooth"]), Fraction(t["r_coprime"]))
-            acc[key] = acc.get(key, 0) + int(t["c"])
-        return SplitQZElement(primes, _canon_split(acc))
-
 
 def _canon_split(acc: Mapping[tuple[Fraction, Fraction], int]):
     items = [(k, c) for k, c in acc.items() if c != 0]

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .arith import Polynomial
-from .errors import HalfTwistPresent, NotEffectivelyTorified
+from .errors import HalfTwistPresent, NotEffectivelyTorified, _json_list
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class TorifiedClass:
 
     @staticmethod
     def from_json(data: dict) -> "TorifiedClass":
-        return TorifiedClass.of(data["T"])
+        return TorifiedClass.of(_json_list(data["T"], "T"))
 
 
 @dataclass(frozen=True)

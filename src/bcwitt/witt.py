@@ -13,14 +13,19 @@ arithmetic.  Rational input is first scaled by the homothety t -> E t
 Part 1*, arXiv:0804.3888, section 9), which multiplies c_m and N_m alike
 by E^m: ``arith._clear`` picks the least E that makes the scaled values
 integral, the loops run on them in Z, and ``arith._unclear`` divides by
-E^m once per entry at the end.  So a Fraction appears mid-loop only where
-the division by m in ``unghost`` is inexact, or for the part of a
-denominator that ``_clear`` leaves alone (primes above 1000 after the
-first entry, or a cover past its bit cap).  ``series_div`` runs on the
-same homothety; ``series_mul`` does not, because a product has no powers
-of its entries, so E^m would only inflate it.  ``ghost`` stops the sum at
-the last nonzero coefficient, so a polynomial padded to truncation N costs
-O(N * degree).  ``ghost``, ``unghost``, ``series_mul`` and ``series_div``
+E^m once per entry at the end.  ``unghost`` keeps S c_m for a common
+denominator S of its divisions by m: an inexact one multiplies S and every
+stored value by the least factor that makes it exact, and ``_unclear``
+divides S out with E^m.  ``series_div`` runs on the same homothety;
+``series_mul`` does not, because a product has no powers of its entries,
+so E^m would only inflate it: it puts each side over the lcm of its
+denominators and reduces each output once.  So a Fraction appears mid-loop
+only for the part of a denominator that ``_clear`` leaves alone (primes
+above 1000 after the first entry, or a cover past its bit cap), and in
+``series_mul`` on sides whose denominators are wider than
+``arith._CLEAR_MAX_BITS`` bits per Fraction entry.  ``ghost`` stops the
+sum at the last nonzero coefficient, so a polynomial padded to truncation
+N costs O(N * degree).  ``ghost``, ``unghost``, ``series_mul`` and ``series_div``
 are the package's only Newton and convolution loops; the matrix layers
 reach them through det(1 - t M).
 
@@ -39,12 +44,13 @@ polynomial evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .arith import Polynomial, _clear, _norm_coeff, _unclear, poly_gcd
-from .errors import NotDivisible, TruncationTooSmall
+from .arith import _CLEAR_MAX_BITS, Polynomial, _clear, _norm_coeff, _unclear, poly_gcd
+from .errors import NotDivisible, TruncationTooSmall, _json_list
 
 Scalar = Union[int, Fraction]
 GhostValue = Union[int, Fraction, Polynomial]
@@ -88,7 +94,8 @@ class WittVector:
 
     @staticmethod
     def from_json(data: dict) -> "WittVector":
-        return WittVector.from_coeffs([Fraction(c) for c in data["coeffs"]], int(data["trunc"]))
+        coeffs = _json_list(data["coeffs"], "coeffs")
+        return WittVector.from_coeffs([Fraction(c) for c in coeffs], int(data["trunc"]))
 
 
 @dataclass(frozen=True)
@@ -129,14 +136,42 @@ def _match(a, b):
 
 # ---------------------------------------------------------------- series ops
 
+def _common_denominator(xs: Sequence[Scalar]) -> tuple[int, int]:
+    """The lcm of the Fraction denominators in xs, and how many there are."""
+    D, k = 1, 0
+    for x in xs:
+        if type(x) is Fraction:
+            D = math.lcm(D, x.denominator)
+            k += 1
+    return D, k
+
+
+def _numerators(xs: Sequence[Scalar], D: int) -> Sequence[Scalar]:
+    """x * D for each x, as ints when D is a common denominator of xs."""
+    if D == 1:
+        return xs
+    return [x.numerator * (D // x.denominator) if type(x) is Fraction else x * D for x in xs]
+
+
 def series_mul(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]:
-    """Product of 1 + sum a_m t^m and 1 + sum b_m t^m, coefficients 1..n."""
-    a, b = (1, *a), (1, *b)
+    """Product of 1 + sum a_m t^m and 1 + sum b_m t^m, coefficients 1..n.
+
+    Each side goes over the lcm of its denominators, D_a and D_b, so the
+    convolution runs on integer numerators and each output is reduced once
+    by D_a D_b.  A denominator much wider than the entries that carry it
+    (one 1/2^120, or a single huge prime power) would inflate every product
+    of its side, so past _CLEAR_MAX_BITS bits per Fraction entry both sides
+    stay in Fraction instead.
+    """
+    (da, ka), (db, kb) = _common_denominator(a), _common_denominator(b)
+    if (da * db).bit_length() > _CLEAR_MAX_BITS * (ka + kb):
+        da = db = 1
+    a, b = (da, *_numerators(a, da)), (db, *_numerators(b, db))
     out: list[Scalar] = []
     for m in range(1, n + 1):
         lo, hi = max(0, m - len(b) + 1), min(m, len(a) - 1)
         out.append(_norm_coeff(sum(a[i] * b[m - i] for i in range(lo, hi + 1))))
-    return out
+    return _unclear(out, 1, da * db)
 
 
 def series_div(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]:
@@ -176,13 +211,25 @@ def unghost(g: GhostVector) -> WittVector:
     if g.is_symbolic():
         raise ValueError("cannot expand a symbolic ghost vector; take q -> value first")
     E, v = _clear(g.values)
-    cs: list[Scalar] = []
+    # xs holds S c_m (scaled by E^m); S grows by the least factor that makes
+    # each inexact division by m exact.
+    S = 1
+    xs: list[Scalar] = []
     for m in range(1, g.trunc + 1):
-        s = v[m - 1]
+        s = S * v[m - 1]
         for j in range(1, m):
-            s += v[j - 1] * cs[m - j - 1]
-        cs.append(s // m if isinstance(s, int) and not s % m else _norm_coeff(Fraction(s, m)))
-    return WittVector(g.trunc, tuple(_unclear(cs, E)))
+            s += v[j - 1] * xs[m - j - 1]
+        if type(s) is int:
+            r = s % m
+            if r:
+                f = m // math.gcd(r, m)
+                S *= f
+                s *= f
+                xs = [x * f for x in xs]
+            xs.append(s // m)
+        else:
+            xs.append(_norm_coeff(Fraction(s, m)))
+    return WittVector(g.trunc, tuple(_unclear(xs, E, S)))
 
 
 # ------------------------------------------------------------ ring structure
@@ -294,7 +341,7 @@ class RationalWitt:
     @staticmethod
     def from_json(data: dict) -> "RationalWitt":
         def side(cs):
-            return Polynomial([Fraction(c) for c in cs])
+            return Polynomial([Fraction(c) for c in _json_list(cs, "num and den")])
         return RationalWitt.of(side(data["num"]), side(data.get("den", [1])))
 
 

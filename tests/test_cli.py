@@ -223,6 +223,21 @@ def test_usage_errors(tmp_path, capsys):
                  ("class", "convert", "--class", f"@{deep}")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
+    # A string or object where a list is expected is malformed, never read
+    # one character or key at a time.
+    for argv in (("witt", "ghost", "--witt", '{"trunc":2,"coeffs":"12"}'),
+                 ("witt", "ghost", "--witt", '{"trunc":2,"coeffs":{"1":1,"2":2}}'),
+                 ("endo", "lmap", "--matrix", '{"matrix":"1234"}'),
+                 ("class", "convert", "--class", '{"T":"123"}'),
+                 ("endo", "phimu", "--rational", '{"num":"12","den":[1]}'),
+                 ("endo", "phimu", "--rational", '{"num":[1],"den":"12"}'),
+                 ("equivariant", "euler", "--action", '{"level":2,"perm":"10"}'),
+                 ("equivariant", "sigma", "--n", "2", "--action",
+                  '{"total":{"level":2,"perm":[1,0]},"base":{"level":2,"perm":[0]},"map":"00"}'),
+                 ("euler", "spectral", "--matrix", '{"rows":["12","34"]}')):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "must be a JSON list" in err, argv
 
 
 def test_input_file(tmp_path, capsys):

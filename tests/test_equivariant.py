@@ -9,16 +9,49 @@ from bcwitt.equivariant import (
     RelativeObject,
     bc_rho,
     bc_sigma,
-    disjoint_union,
     euler_char,
     periodic_points,
-    product,
-    relative_disjoint_union,
-    relative_product,
     sigma_action,
     verschiebung_action,
 )
 from bcwitt.qz import QZElement, rho, sigma
+
+
+# ----------------------------------------------- constructions (tests only)
+
+def disjoint_union(a: CyclicAction, b: CyclicAction) -> CyclicAction:
+    """Union at the common level (lcm), b's points shifted past a's."""
+    level = math.lcm(a.level, b.level)
+    perm = list(a.perm) + [a.size + t for t in b.perm]
+    return CyclicAction(level, tuple(perm))
+
+
+def product(a: CyclicAction, b: CyclicAction) -> CyclicAction:
+    """Diagonal action on the product set, at level lcm(a.level, b.level)."""
+    level = math.lcm(a.level, b.level)
+    perm = [0] * (a.size * b.size)
+    for s in range(a.size):
+        for t in range(b.size):
+            perm[s * b.size + t] = a.perm[s] * b.size + b.perm[t]
+    return CyclicAction(level, tuple(perm))
+
+
+def relative_product(x: RelativeObject, y: RelativeObject) -> RelativeObject:
+    """Componentwise product with diagonal actions."""
+    total = product(x.total, y.total)
+    base = product(x.base, y.base)
+    fib = [0] * total.size
+    for s in range(x.total.size):
+        for t in range(y.total.size):
+            fib[s * y.total.size + t] = x.fibration[s] * y.base.size + y.fibration[t]
+    return RelativeObject.of(total, base, fib)
+
+
+def relative_disjoint_union(x: RelativeObject, y: RelativeObject) -> RelativeObject:
+    total = disjoint_union(x.total, y.total)
+    base = disjoint_union(x.base, y.base)
+    fib = list(x.fibration) + [x.base.size + b for b in y.fibration]
+    return RelativeObject.of(total, base, fib)
 
 
 def random_action(rng, max_level=8, max_size=10):

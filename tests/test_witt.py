@@ -395,12 +395,26 @@ def test_kernels_match_fraction_path_adversarial():
 
 def test_kernels_match_fraction_path_edge_cases():
     rng = random.Random(317)
-    # Ghost vectors that come from no integral Witt vector: division by m
-    # is inexact, and the Fraction it leaves rides through the scaled loop.
+    # Ghost vectors that come from no integral Witt vector: division by m is
+    # inexact, so unghost grows its common denominator S, which the result
+    # must not show; a Fraction left by _clear rides through the same loop.
     for n in (1, 2, 5, 24):
         for dens in ((1,), (1, 2, 3, 7), (1, 1000003)):
             g = GhostVector.of([Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)])
             assert _typed(unghost(g).coeffs) == _typed(_unghost_oracle(g.values))
+    for n in (7, 60, 120):
+        witt_ghosts = list(ghost(random_witt(rng, n)).values)
+        for values in ([rng.randint(-9, 9) for _ in range(n)],
+                       [m**3 for m in range(1, n + 1)],
+                       [v + (m == 2) for m, v in enumerate(witt_ghosts, 1)],
+                       [v + (m == min(n, 60)) for m, v in enumerate(witt_ghosts, 1)],
+                       [v + (Fraction(1, 7) if m == (n + 1) // 2 else 0)
+                        for m, v in enumerate(witt_ghosts, 1)],
+                       [Fraction(1, 1009)] + witt_ghosts[1:]):
+            g = GhostVector.of(values)
+            got = unghost(g)
+            assert _typed(got.coeffs) == _typed(_unghost_oracle(g.values))
+            assert ghost(got) == g
     for n in (1, 4):
         zero = WittVector.one(n)
         assert ghost(zero).values == (0,) * n
@@ -471,3 +485,57 @@ def test_clear_picks_the_least_cover():
     ints = (3, -1, 0, 7)
     assert _clear(ints) == (1, ints)
     assert _unclear(ints, 1) is ints
+
+
+def _series_mul_boundary(n, rng):
+    """(a, b, cleared) pairs just inside and just past the rule that puts each
+    side of series_mul over its common denominator: cleared iff
+    bits(D_a D_b) <= _CLEAR_MAX_BITS * (Fraction entries on both sides)."""
+    ints = [rng.randint(-9, 9) for _ in range(n)]
+    dense = [Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9)) for _ in range(n)]
+    d_dense = math.lcm(*(x.denominator for x in dense))
+
+    def ones_with(k, x):
+        cs = [1] * n
+        cs[k - 1] = x
+        return cs
+
+    bits = _CLEAR_MAX_BITS
+    cases = []
+    for above in (False, True):
+        one = ones_with(n // 3 or 1, Fraction(-3, 2 ** (bits - 1 + above)))
+        cases += [(one, ints, not above), (ints, one, not above)]
+        # One entry on each side: 2^(2 bits - 1) is exactly at the limit.
+        a = ones_with(1, Fraction(1, 2 ** (bits - 1)))
+        b = ones_with(n, Fraction(5, 2 ** (bits + above)))
+        cases += [(a, b, not above), (b, a, not above)]
+        # A dense rational side against one very wide entry on the other.
+        k = bits * (n + 1) - d_dense.bit_length() + above
+        wide = ones_with(n // 2 or 1, Fraction(7, 2**k))
+        cases += [(dense, wide, not above), (wide, dense, not above)]
+    return cases
+
+
+def test_series_mul_shared_denominator_rule(monkeypatch):
+    import bcwitt.witt as witt_module
+
+    seen = []
+
+    def spy(bs, E, S=1):
+        seen.append(S)
+        return _unclear(bs, E, S)
+
+    monkeypatch.setattr(witt_module, "_unclear", spy)
+    rng = random.Random(347)
+    for n in (3, 40):
+        for a, b, cleared in _series_mul_boundary(n, rng):
+            seen.clear()
+            got = series_mul(a, b, n)
+            assert _typed(got) == _typed(_series_mul_oracle(a, b, n))
+            lcm = [math.lcm(*(Fraction(x).denominator for x in side)) for side in (a, b)]
+            assert seen == [lcm[0] * lcm[1] if cleared else 1], (n, cleared)
+    # Integral sides, and the Witt zero, keep D = 1.
+    for a, b in (([1, 2, 3], [4, 5]), ((), (7,)), ((), ())):
+        seen.clear()
+        assert _typed(series_mul(a, b, 4)) == _typed(_series_mul_oracle(a, b, 4))
+        assert seen == [1]

@@ -5,12 +5,13 @@ Mersenne prime 2^61 - 1, so the examples reach every way the kernels
 clear denominators: fully, partly, and not at all.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from bcwitt.witt import (  # noqa: E402
     GhostVector,
@@ -63,3 +64,41 @@ def test_frobenius_after_verschiebung_is_n(w, n):
     assume(w.trunc >= n)
     fv = frobenius(n, verschiebung(n, w))
     assert ghost(fv) == GhostVector.of([n * v for v in ghost(w).values[:fv.trunc]])
+
+
+@LAWS
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(coeffs, min_size=n, max_size=n)))
+def test_ghost_inverts_unghost_on_any_rational_ghosts(values):
+    g = GhostVector.of(values)
+    assert ghost(unghost(g)) == g
+
+
+@LAWS
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12))
+def test_unghost_of_integral_ghosts_has_denominators_dividing_m_factorial(values):
+    # Exponential formula: c_m = sum over cycle types of prod N_j^k_j / (j^k_j k_j!),
+    # and m! / prod (j^k_j k_j!) counts the permutations of that type.
+    for m, c in enumerate(unghost(GhostVector.of(values)).coeffs, 1):
+        assert (math.factorial(m) * c).denominator == 1
+
+
+# Mostly integral entries, and a denominator (2^61 - 1)^2 of 122 bits, so
+# series_mul meets both sides of its rule: sides over their common
+# denominator, and (past _CLEAR_MAX_BITS bits per Fraction entry) Fraction.
+sparse = st.one_of(st.integers(-9, 9), coeffs, st.builds(
+    Fraction, st.integers(-9, 9), st.just((2**61 - 1) ** 2)))
+sparse_pairs = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    *[st.lists(sparse, min_size=n, max_size=n).map(WittVector.from_coeffs)] * 2))
+
+
+@LAWS
+@given(sparse_pairs)
+@example((WittVector.from_coeffs([Fraction(1, 2**61 - 1), 2]),
+          WittVector.from_coeffs([3, Fraction(-1, 2**61 - 1)])))
+@example((WittVector.from_coeffs([Fraction(1, (2**61 - 1) ** 2), 2]),
+          WittVector.from_coeffs([3, 1])))
+def test_witt_add_commutes(ab):
+    a, b = ab
+    s, t = witt_add(a, b), witt_add(b, a)
+    assert [(type(c), c) for c in s.coeffs] == [(type(c), c) for c in t.coeffs]
+    assert ghost(s) == ghost(a) + ghost(b)
