@@ -414,11 +414,24 @@ def cyclotomic(m: int) -> Polynomial:
     return num
 
 
+def _cyclotomic_at_2(d: int) -> int:
+    """Phi_d(2) = prod_{e | d} (2^e - 1)^mu(d/e), without building Phi_d."""
+    num = den = 1
+    for e in divisors(d):
+        mu = moebius(d // e)
+        if mu == 1:
+            num *= (1 << e) - 1
+        elif mu == -1:
+            den *= (1 << e) - 1
+    return num // den
+
+
 @lru_cache(maxsize=None)
-def _small_totients(deg: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (d, phi(d)) with phi(d) <= deg, ascending in d."""
+def _factor_trials(deg: int) -> tuple[tuple[int, int, int], ...]:
+    """The triples (d, phi(d), Phi_d(2)) with phi(d) <= deg, ascending in d."""
     # totient(d) >= sqrt(d/2), so indices beyond 2*deg^2 + 1 cannot qualify.
-    return tuple((d, phi) for d in range(1, 2 * deg * deg + 2) if (phi := totient(d)) <= deg)
+    return tuple((d, phi, _cyclotomic_at_2(d))
+                 for d in range(1, 2 * deg * deg + 2) if (phi := totient(d)) <= deg)
 
 
 def cyclotomic_factor(p: Polynomial) -> list[int]:
@@ -435,17 +448,20 @@ def cyclotomic_factor(p: Polynomial) -> list[int]:
     if p.coeffs[-1] != 1:
         raise ValueError("cyclotomic_factor expects a polynomial monic up to sign")
     out: list[int] = []
-    for d, phi in _small_totients(p.degree):
+    # Phi_d | p in Z[t] forces Phi_d(2) | p(2), so a Phi_d failing that test
+    # needs no trial division; p2 = 0 (p(2) = 0, or p not integral) passes all.
+    p2 = p(2) if p.is_integral() else 0
+    for d, phi, phi2 in _factor_trials(p.degree):
         if p.degree == 0:
             break
         if phi > p.degree:
             continue
-        while True:
+        while p2 % phi2 == 0:
             q, r = divmod(p, cyclotomic(d))
             if not r.is_zero():
                 break
             out.append(d)
-            p = q
+            p, p2 = q, p2 // phi2
     if p.degree > 0 or p.coeffs[0] != 1:
         raise NotQuasiUnipotent(f"non-cyclotomic factor of degree {p.degree} remains")
     return out

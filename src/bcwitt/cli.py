@@ -12,6 +12,10 @@ JSON payload flags and its handler.  Any payload flag accepts ``@FILE`` to
 read its JSON from a file, and ``--input FILE`` supplies missing payload
 flags from a single JSON object keyed by flag name.  ``--trunc`` defaults
 to 12, overridable with the BCWITT_TRUNC environment variable.
+
+A handler imports the library modules it runs when it runs, and only the
+invoked group's subcommand parsers are built, so one call loads and builds
+only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import dynamical, endo, equivariant, qz, torified, witt, zeta
-from .arith import Polynomial
 from .errors import DomainError
 
 DEFAULT_TRUNC = 12
@@ -83,6 +85,7 @@ def _numstr(x) -> str:
 
 
 def _ghost_json(g) -> list:
+    from .arith import Polynomial
     out = []
     for v in g.values:
         if isinstance(v, Polynomial):
@@ -92,12 +95,13 @@ def _ghost_json(g) -> list:
     return out
 
 
-def _series_json(w: witt.WittVector) -> list:
+def _series_json(w) -> list:
     return [_numstr(c) for c in w.coeffs]
 
 
-def _series_out(series: witt.WittVector) -> dict:
-    return {"ghost": _ghost_json(witt.ghost(series)), "series": _series_json(series)}
+def _series_out(series) -> dict:
+    from .witt import ghost
+    return {"ghost": _ghost_json(ghost(series)), "series": _series_json(series)}
 
 
 def _q(text: str):
@@ -105,7 +109,8 @@ def _q(text: str):
     return text if text in ("q", "sym", "symbolic") else int(text)
 
 
-def _parse_class(data: dict) -> torified.TorifiedClass:
+def _parse_class(data: dict):
+    from . import torified
     if "T" in data:
         return torified.TorifiedClass.from_json(data)
     if "L" in data:
@@ -113,20 +118,32 @@ def _parse_class(data: dict) -> torified.TorifiedClass:
     raise UsageError("a class payload needs a 'T' or 'L' key")
 
 
-def _plain_action(args, data: dict) -> equivariant.CyclicAction:
+def _plain_action(args, data: dict):
+    from .equivariant import CyclicAction
     if "total" in data:
         raise UsageError(f"equivariant {args.subcommand} expects a plain action payload")
-    return equivariant.CyclicAction.from_json(data)
+    return CyclicAction.from_json(data)
 
 
 # ---------------------------------------------------------------- handlers
 
-def _by_n(fn, parse):
-    """Handler for fn(--n, payload) on one parsed payload."""
-    return lambda args, data: fn(args.n, parse(data)).to_json()
+def _qz_sigma(args, elem: dict) -> dict:
+    from .qz import QZElement, sigma
+    return sigma(args.n, QZElement.from_json(elem)).to_json()
+
+
+def _qz_rho(args, elem: dict) -> dict:
+    from .qz import QZElement, rho
+    return rho(args.n, QZElement.from_json(elem)).to_json()
+
+
+def _qz_mul(args, a: dict, b: dict) -> dict:
+    from .qz import QZElement
+    return (QZElement.from_json(a) * QZElement.from_json(b)).to_json()
 
 
 def _qz_split(args, elem: dict) -> dict:
+    from . import qz
     elem = qz.QZElement.from_json(elem)
     try:
         primes = [int(p) for p in args.primes.split(",") if p]
@@ -135,23 +152,62 @@ def _qz_split(args, elem: dict) -> dict:
     return qz.split(primes, elem).to_json()
 
 
+def _witt_add(args, a: dict, b: dict) -> dict:
+    from .witt import WittVector, witt_add
+    return witt_add(WittVector.from_json(a), WittVector.from_json(b)).to_json()
+
+
+def _witt_mul(args, a: dict, b: dict) -> dict:
+    from .witt import WittVector, witt_mul
+    return witt_mul(WittVector.from_json(a), WittVector.from_json(b)).to_json()
+
+
+def _witt_frobenius(args, w: dict) -> dict:
+    from .witt import WittVector, frobenius
+    return frobenius(args.n, WittVector.from_json(w)).to_json()
+
+
+def _witt_verschiebung(args, w: dict) -> dict:
+    from .witt import WittVector, verschiebung
+    return verschiebung(args.n, WittVector.from_json(w)).to_json()
+
+
 def _witt_ghost(args, w: dict) -> dict:
-    g = witt.ghost(witt.WittVector.from_json(w))
+    from .witt import WittVector, ghost
+    g = ghost(WittVector.from_json(w))
     return {"trunc": g.trunc, "ghost": _ghost_json(g)}
 
 
 def _class_convert(args, data: dict) -> dict:
+    from .torified import t_to_l
     cls = _parse_class(data)
-    return (torified.t_to_l(cls) if "T" in data else cls).to_json()
+    return (t_to_l(cls) if "T" in data else cls).to_json()
+
+
+def _class_points(args, cls: dict) -> dict:
+    from .torified import f1m_points
+    return {"count": str(f1m_points(_parse_class(cls), args.m))}
+
+
+def _class_bb(args, pieces: list) -> dict:
+    from .torified import bb_assemble
+    return bb_assemble([(_parse_class(p["class"]), int(p["d"])) for p in pieces]).to_json()
+
+
+def _class_virtual(args, cls: dict) -> dict:
+    from .torified import LClass, virtual_motive
+    return virtual_motive(LClass.from_json(cls), args.dim).to_json()
 
 
 def _zeta_f1(args, cls: dict) -> dict:
-    z = zeta.f1_zeta(_parse_class(cls), args.trunc)
+    from .zeta import f1_zeta
+    z = f1_zeta(_parse_class(cls), args.trunc)
     return {"ghost": _ghost_json(z.ghost), "series": _series_json(z.witt)}
 
 
 def _zeta_hw(args, cls: dict) -> dict:
-    z = zeta.hw_zeta(_parse_class(cls), _q(args.q), args.trunc)
+    from .zeta import hw_zeta
+    z = hw_zeta(_parse_class(cls), _q(args.q), args.trunc)
     out = {"ghost": _ghost_json(z.ghost)}
     if z.rational is not None:
         out["series"] = _series_json(z.rational.expand(args.trunc))
@@ -160,27 +216,84 @@ def _zeta_hw(args, cls: dict) -> dict:
 
 
 def _zeta_lefschetz(args, matrix: dict) -> dict:
+    from . import dynamical
     f = dynamical.ToralMap.from_json(matrix)
     if args.closed:
         return dynamical.lefschetz_zeta_closed(f).to_json()
     return _series_out(dynamical.lefschetz_zeta_series(f, args.trunc))
 
 
+def _zeta_artin_mazur(args, matrix: dict) -> dict:
+    from .dynamical import ToralMap, artin_mazur_series
+    return _series_out(artin_mazur_series(ToralMap.from_json(matrix), args.trunc))
+
+
+def _zeta_quotient_check(args) -> dict:
+    from .zeta import hw_quotient_check
+    return {"ghost": _ghost_json(hw_quotient_check(args.k, _q(args.q), args.trunc))}
+
+
+def _endo_lmap(args, matrix: dict) -> dict:
+    from .endo import EndoObject, l_map
+    return l_map(EndoObject.from_json(matrix)).to_json()
+
+
+def _endo_frobenius(args, matrix: dict) -> dict:
+    from .endo import EndoObject, endo_frobenius
+    return endo_frobenius(args.n, EndoObject.from_json(matrix)).to_json()
+
+
+def _endo_verschiebung(args, matrix: dict) -> dict:
+    from .endo import EndoObject, endo_verschiebung
+    return endo_verschiebung(args.n, EndoObject.from_json(matrix)).to_json()
+
+
+def _endo_delta(args, plus: dict, minus: dict) -> dict:
+    from .endo import EndoObject, GradedEndoObject, delta
+    return delta(GradedEndoObject(EndoObject.from_json(plus),
+                                  EndoObject.from_json(minus))).to_json()
+
+
 def _endo_phimu(args, rational: dict) -> dict:
-    g = endo.phi_mu(witt.RationalWitt.from_json(rational))
+    from .endo import phi_mu
+    from .witt import RationalWitt
+    g = phi_mu(RationalWitt.from_json(rational))
     return {"plus": g.plus.to_json(), "minus": g.minus.to_json()}
 
 
-def _equivariant_by_n(plain, relative):
-    """Handler for --n maps that also act on relative objects ('total' key)."""
-    def handler(args, data: dict) -> dict:
-        if "total" in data:
-            return relative(args.n, equivariant.RelativeObject.from_json(data)).to_json()
-        return plain(args.n, equivariant.CyclicAction.from_json(data)).to_json()
-    return handler
+def _euler_spectral(args, matrix: dict) -> dict:
+    from .dynamical import ToralMap, spectral_euler
+    return spectral_euler(ToralMap.from_json(matrix)).to_json()
+
+
+def _equivariant_sigma(args, data: dict) -> dict:
+    """sigma_n on a plain action, or on a relative object ('total' key)."""
+    from .equivariant import CyclicAction, RelativeObject, bc_sigma, sigma_action
+    if "total" in data:
+        return bc_sigma(args.n, RelativeObject.from_json(data)).to_json()
+    return sigma_action(args.n, CyclicAction.from_json(data)).to_json()
+
+
+def _equivariant_rho(args, data: dict) -> dict:
+    """rho_n on a plain action, or on a relative object ('total' key)."""
+    from .equivariant import CyclicAction, RelativeObject, bc_rho, verschiebung_action
+    if "total" in data:
+        return bc_rho(args.n, RelativeObject.from_json(data)).to_json()
+    return verschiebung_action(args.n, CyclicAction.from_json(data)).to_json()
+
+
+def _equivariant_periodic(args, action: dict) -> dict:
+    from .equivariant import periodic_points
+    return {"points": sorted(periodic_points(_plain_action(args, action), args.k))}
+
+
+def _equivariant_euler(args, action: dict) -> dict:
+    from .equivariant import euler_char
+    return euler_char(_plain_action(args, action)).to_json()
 
 
 def _equivariant_check(args, data: dict) -> dict:
+    from . import equivariant, qz
     a, n, kmax = _plain_action(args, data), args.n, args.kmax
     shifted = equivariant.sigma_action(n, a)
     spread = equivariant.verschiebung_action(n, a)
@@ -220,62 +333,46 @@ _FLAGS = {
 # and returns the JSON object to print.
 COMMANDS = {
     "qz": ("group ring of Q/Z", {
-        "sigma": (("n",), ("elem",), _by_n(qz.sigma, qz.QZElement.from_json)),
-        "rho": (("n",), ("elem",), _by_n(qz.rho, qz.QZElement.from_json)),
-        "mul": ((), ("a", "b"), lambda args, a, b: (
-            qz.QZElement.from_json(a) * qz.QZElement.from_json(b)).to_json()),
+        "sigma": (("n",), ("elem",), _qz_sigma),
+        "rho": (("n",), ("elem",), _qz_rho),
+        "mul": ((), ("a", "b"), _qz_mul),
         "split": (("primes",), ("elem",), _qz_split),
     }),
     "witt": ("big Witt vectors", {
-        "add": ((), ("a", "b"), lambda args, a, b: witt.witt_add(
-            witt.WittVector.from_json(a), witt.WittVector.from_json(b)).to_json()),
-        "mul": ((), ("a", "b"), lambda args, a, b: witt.witt_mul(
-            witt.WittVector.from_json(a), witt.WittVector.from_json(b)).to_json()),
-        "frobenius": (("n",), ("witt",), _by_n(witt.frobenius, witt.WittVector.from_json)),
-        "verschiebung": (("n",), ("witt",), _by_n(witt.verschiebung, witt.WittVector.from_json)),
+        "add": ((), ("a", "b"), _witt_add),
+        "mul": ((), ("a", "b"), _witt_mul),
+        "frobenius": (("n",), ("witt",), _witt_frobenius),
+        "verschiebung": (("n",), ("witt",), _witt_verschiebung),
         "ghost": ((), ("witt",), _witt_ghost),
     }),
     "class": ("torified Grothendieck classes", {
         "convert": ((), ("class",), _class_convert),
-        "points": (("m",), ("class",), lambda args, cls: {
-            "count": str(torified.f1m_points(_parse_class(cls), args.m))}),
-        "bb": ((), ("pieces",), lambda args, pieces: torified.bb_assemble(
-            [(_parse_class(p["class"]), int(p["d"])) for p in pieces]).to_json()),
-        "virtual": (("dim",), ("class",), lambda args, cls: torified.virtual_motive(
-            torified.LClass.from_json(cls), args.dim).to_json()),
+        "points": (("m",), ("class",), _class_points),
+        "bb": ((), ("pieces",), _class_bb),
+        "virtual": (("dim",), ("class",), _class_virtual),
     }),
     "zeta": ("zeta functions", {
         "f1": (("trunc",), ("class",), _zeta_f1),
         "hw": (("q", "trunc"), ("class",), _zeta_hw),
         "lefschetz": (("closed|series", "trunc"), ("matrix",), _zeta_lefschetz),
-        "artin-mazur": (("trunc",), ("matrix",), lambda args, matrix: _series_out(
-            dynamical.artin_mazur_series(dynamical.ToralMap.from_json(matrix), args.trunc))),
-        "quotient-check": (("k", "q", "trunc"), (), lambda args: {
-            "ghost": _ghost_json(zeta.hw_quotient_check(args.k, _q(args.q), args.trunc))}),
+        "artin-mazur": (("trunc",), ("matrix",), _zeta_artin_mazur),
+        "quotient-check": (("k", "q", "trunc"), (), _zeta_quotient_check),
     }),
     "endo": ("endomorphism-category classes", {
-        "lmap": ((), ("matrix",), lambda args, matrix: endo.l_map(
-            endo.EndoObject.from_json(matrix)).to_json()),
-        "frobenius": (("n",), ("matrix",), _by_n(endo.endo_frobenius, endo.EndoObject.from_json)),
-        "verschiebung": (("n",), ("matrix",),
-                         _by_n(endo.endo_verschiebung, endo.EndoObject.from_json)),
-        "delta": ((), ("plus", "minus"), lambda args, plus, minus: endo.delta(endo.GradedEndoObject(
-            endo.EndoObject.from_json(plus), endo.EndoObject.from_json(minus))).to_json()),
+        "lmap": ((), ("matrix",), _endo_lmap),
+        "frobenius": (("n",), ("matrix",), _endo_frobenius),
+        "verschiebung": (("n",), ("matrix",), _endo_verschiebung),
+        "delta": ((), ("plus", "minus"), _endo_delta),
         "phimu": ((), ("rational",), _endo_phimu),
     }),
     "euler": ("Euler characteristics", {
-        "spectral": ((), ("matrix",), lambda args, matrix: dynamical.spectral_euler(
-            dynamical.ToralMap.from_json(matrix)).to_json()),
+        "spectral": ((), ("matrix",), _euler_spectral),
     }),
     "equivariant": ("finite cyclic-action model", {
-        "sigma": (("n",), ("action",),
-                  _equivariant_by_n(equivariant.sigma_action, equivariant.bc_sigma)),
-        "rho": (("n",), ("action",),
-                _equivariant_by_n(equivariant.verschiebung_action, equivariant.bc_rho)),
-        "periodic": (("k",), ("action",), lambda args, action: {
-            "points": sorted(equivariant.periodic_points(_plain_action(args, action), args.k))}),
-        "euler": ((), ("action",), lambda args, action: equivariant.euler_char(
-            _plain_action(args, action)).to_json()),
+        "sigma": (("n",), ("action",), _equivariant_sigma),
+        "rho": (("n",), ("action",), _equivariant_rho),
+        "periodic": (("k",), ("action",), _equivariant_periodic),
+        "euler": ((), ("action",), _equivariant_euler),
         "check": (("n", "kmax"), ("action",), _equivariant_check),
     }),
 }
@@ -283,13 +380,17 @@ COMMANDS = {
 
 # ------------------------------------------------------------------ parser
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None) -> argparse.ArgumentParser:
+    """The parser for every group, with the subcommand parsers of group
+    ``only`` alone: one parse never reaches another group's."""
     parser = argparse.ArgumentParser(
         prog="bcwitt",
         description="Exact Bost-Connes / Witt / torified-class computations with JSON I/O.")
     groups = parser.add_subparsers(dest="command", required=True)
     for group, (help_text, subcommands) in COMMANDS.items():
         sub = groups.add_parser(group, help=help_text)
+        if group != only:
+            continue
         sub = sub.add_subparsers(dest="subcommand", required=True)
         for name, (flags, payloads, _) in subcommands.items():
             p = sub.add_parser(name)
@@ -304,7 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    # The top-level parser has no option that takes a value, so the first
+    # argument not starting with "-" is the group, if any is valid.
+    group = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(group).parse_args(argv)
     flags, payloads, handler = COMMANDS[args.command][1][args.subcommand]
     inputs: dict = {}
     if args.input:

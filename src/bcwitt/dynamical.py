@@ -35,7 +35,6 @@ companion Verschiebung blocks into the division-point maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
@@ -46,10 +45,10 @@ from .linalg import Matrix
 from .qz import QZElement
 from .endo import EndoObject, endo_verschiebung
 from .witt import GhostVector, WittVector, ghost, unghost, witt_add
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ToralMap:
+class ToralMap(Record):
     """An integer matrix acting on the torus of its dimension."""
 
     matrix: Matrix
@@ -91,8 +90,7 @@ def lefschetz_zeta_series(f: ToralMap, trunc: int) -> WittVector:
     return unghost(GhostVector.of(lefschetz_numbers(f, trunc)))
 
 
-@dataclass(frozen=True)
-class LefschetzZeta:
+class LefschetzZeta(Record):
     """prod_{d} (1 - t^d)^(-s_d), stored as the exponent map d -> s_d."""
 
     exponents: tuple[tuple[int, int], ...]

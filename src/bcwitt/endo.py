@@ -20,7 +20,6 @@ that is irreducible of degree > 1 raises NotSplit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Polynomial, _primitive_int, divisors
@@ -28,12 +27,12 @@ from .errors import NotSplit, _json_list
 from . import linalg
 from .linalg import Matrix
 from .witt import RationalWitt
+from .record import Record
 
 _EMPTY: Matrix = ()
 
 
-@dataclass(frozen=True)
-class EndoObject:
+class EndoObject(Record):
     """A free module of rank dim with an endomorphism, as a matrix."""
 
     matrix: Matrix
@@ -73,8 +72,7 @@ class EndoObject:
         return EndoObject.of([flat[i * n:(i + 1) * n] for i in range(n)])
 
 
-@dataclass(frozen=True)
-class GradedEndoObject:
+class GradedEndoObject(Record):
     plus: EndoObject
     minus: EndoObject
 

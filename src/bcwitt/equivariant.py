@@ -31,16 +31,15 @@ is, per base orbit, the multiset of total-orbit sizes lying over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import _json_list
 from .qz import QZElement
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CyclicAction:
+class CyclicAction(Record):
     """Permutation action of Z/level on {0..size-1}; perm is the generator."""
 
     level: int
@@ -114,8 +113,7 @@ class CyclicAction:
         return CyclicAction.of(int(data["level"]), [int(x) for x in perm])
 
 
-@dataclass(frozen=True)
-class RelativeObject:
+class RelativeObject(Record):
     """An equivariant map between actions at the same level."""
 
     total: CyclicAction

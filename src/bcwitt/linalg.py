@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from .arith import Polynomial, _unclear
@@ -44,10 +45,8 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n))
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:

@@ -23,11 +23,11 @@ F-smooth times denominator coprime to F), by CRT on denominators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .arith import factorize
+from .record import Record
 
 
 def qz(num: int, den: int = 1) -> Fraction:
@@ -42,8 +42,7 @@ def _canon_terms(terms: Mapping[Fraction, int]) -> tuple[tuple[Fraction, int], .
     return tuple(items)
 
 
-@dataclass(frozen=True)
-class QZElement:
+class QZElement(Record):
     """Finite Z-linear combination of points of Q/Z, canonically ordered."""
 
     terms: tuple[tuple[Fraction, int], ...]
@@ -150,8 +149,7 @@ def _smooth_coprime_parts(den: int, primes: frozenset[int]) -> tuple[int, int]:
     return smooth, rest
 
 
-@dataclass(frozen=True)
-class SplitQZElement:
+class SplitQZElement(Record):
     """Element of Z[(Q/Z)_F] (x) Z[(Q/Z)^F]: keys are (F-smooth, F-coprime) pairs."""
 
     primes: frozenset[int]

@@ -21,16 +21,15 @@ level by n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .arith import Polynomial
 from .errors import HalfTwistPresent, NotEffectivelyTorified, _json_list
+from .record import Record
 
 
-@dataclass(frozen=True)
-class TorifiedClass:
+class TorifiedClass(Record):
     """sum a_k T^k with a_k nonnegative integers, ascending tuple."""
 
     a: tuple[int, ...]
@@ -80,8 +79,7 @@ class TorifiedClass:
         return TorifiedClass.of(_json_list(data["T"], "T"))
 
 
-@dataclass(frozen=True)
-class LClass:
+class LClass(Record):
     """Laurent polynomial in L with half-integer exponents allowed.
 
     Keys of ``c2`` are doubled exponents (so L^(1/2) is key 1), values are
@@ -197,8 +195,7 @@ def virtual_motive(c: LClass, dim: int) -> LClass:
     return c.shift(-dim)
 
 
-@dataclass(frozen=True)
-class LeveledClass:
+class LeveledClass(Record):
     cls: TorifiedClass
     level: int
 

@@ -45,19 +45,18 @@ polynomial evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .arith import _CLEAR_MAX_BITS, Polynomial, _clear, _norm_coeff, _unclear, poly_gcd
 from .errors import NotDivisible, TruncationTooSmall, _json_list
+from .record import Record
 
 Scalar = Union[int, Fraction]
 GhostValue = Union[int, Fraction, Polynomial]
 
 
-@dataclass(frozen=True)
-class WittVector:
+class WittVector(Record):
     """1 + c_1 t + ... + c_N t^N with exact rational c_m."""
 
     trunc: int
@@ -98,8 +97,7 @@ class WittVector:
         return WittVector.from_coeffs([Fraction(c) for c in coeffs], int(data["trunc"]))
 
 
-@dataclass(frozen=True)
-class GhostVector:
+class GhostVector(Record):
     """Ghost components N_1..N_N; values may be polynomials in a symbol q."""
 
     trunc: int
@@ -288,8 +286,7 @@ def verschiebung(n: int, w: WittVector) -> WittVector:
 
 # --------------------------------------------------------- rational vectors
 
-@dataclass(frozen=True)
-class RationalWitt:
+class RationalWitt(Record):
     """num(t)/den(t) with constant terms 1 and gcd(num, den) = 1."""
 
     num: Polynomial

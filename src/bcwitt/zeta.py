@@ -22,12 +22,12 @@ point-counts of projective spaces — computed here by exact ghost division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .arith import Polynomial, stirling2
 from .torified import TorifiedClass, _l_poly, f1m_points
 from .witt import GhostVector, RationalWitt, WittVector, ghost_divide, unghost
+from .record import Record
 
 QParam = Union[int, str]
 _Q = Polynomial([0, 1])
@@ -48,15 +48,13 @@ def _q_value(q: QParam) -> int | Polynomial:
     return _Q if _require_symbolic(q) else q
 
 
-@dataclass(frozen=True)
-class F1Zeta:
+class F1Zeta(Record):
     source: TorifiedClass
     ghost: GhostVector
     witt: WittVector
 
 
-@dataclass(frozen=True)
-class HWZeta:
+class HWZeta(Record):
     source: TorifiedClass
     q: QParam
     ghost: GhostVector

@@ -1,0 +1,113 @@
+"""The CLI and the package in fresh interpreters.
+
+The package loads its modules on first use, so a missing import shows only
+in a process that has not loaded everything already, as the other tests do.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bcwitt
+from bcwitt.cli import COMMANDS, main
+
+SRC = str(Path(bcwitt.__file__).resolve().parents[1])
+ACTION = '{"level":6,"perm":[1,2,3,4,5,0]}'
+MATRIX = '{"rows":[[0,-1],[1,0]]}'
+ELEM = '{"terms":[{"r":"1/3","c":1}]}'
+WITT = '{"trunc":3,"coeffs":["2","4","8"]}'
+
+# One valid call of every subcommand.
+CALLS = {
+    ("qz", "sigma"): ["--n", "2", "--elem", ELEM],
+    ("qz", "rho"): ["--n", "2", "--elem", ELEM],
+    ("qz", "mul"): ["--a", ELEM, "--b", ELEM],
+    ("qz", "split"): ["--primes", "2", "--elem", '{"terms":[{"r":"5/12","c":1}]}'],
+    ("witt", "add"): ["--a", WITT, "--b", '{"trunc":3,"coeffs":["3","9","27"]}'],
+    ("witt", "mul"): ["--a", WITT, "--b", '{"trunc":3,"coeffs":["1/2","0","1"]}'],
+    ("witt", "frobenius"): ["--n", "2", "--witt", WITT],
+    ("witt", "verschiebung"): ["--n", "2", "--witt", WITT],
+    ("witt", "ghost"): ["--witt", WITT],
+    ("class", "convert"): ["--class", '{"L":{"0":1,"1":1}}'],
+    ("class", "points"): ["--m", "5", "--class", '{"T":[2,1]}'],
+    ("class", "bb"): ["--pieces", '[{"class":{"T":[1]},"d":0},{"class":{"T":[1]},"d":1}]'],
+    ("class", "virtual"): ["--dim", "1", "--class", '{"L":{"0":1,"1":1}}'],
+    ("zeta", "f1"): ["--trunc", "4", "--class", '{"T":[2,1]}'],
+    ("zeta", "hw"): ["--q", "q", "--trunc", "3", "--class", '{"T":[0,1]}'],
+    ("zeta", "lefschetz"): ["--closed", "--matrix", MATRIX],
+    ("zeta", "artin-mazur"): ["--trunc", "4", "--matrix", '{"rows":[[2,1],[1,1]]}'],
+    ("zeta", "quotient-check"): ["--k", "2", "--q", "3", "--trunc", "3"],
+    ("endo", "lmap"): ["--matrix", '{"matrix":["5"]}'],
+    ("endo", "frobenius"): ["--n", "2", "--matrix", '{"matrix":["3"]}'],
+    ("endo", "verschiebung"): ["--n", "2", "--matrix", '{"matrix":["3"]}'],
+    ("endo", "delta"): ["--plus", '{"matrix":["2"]}', "--minus", '{"matrix":["3"]}'],
+    ("endo", "phimu"): ["--rational", '{"num":[1,-1],"den":[1,-3]}'],
+    ("euler", "spectral"): ["--matrix", MATRIX],
+    ("equivariant", "sigma"): ["--n", "2", "--action", ACTION],
+    ("equivariant", "rho"): ["--n", "2", "--action", '{"total":{"level":3,"perm":[1,2,0]},'
+                             '"base":{"level":3,"perm":[0]},"map":[0,0,0]}'],
+    ("equivariant", "periodic"): ["--k", "6", "--action", ACTION],
+    ("equivariant", "euler"): ["--action", ACTION],
+    ("equivariant", "check"): ["--n", "3", "--kmax", "12", "--action", ACTION],
+}
+
+# The names the package exported when it imported every module eagerly.
+EXPORTED = """
+    Polynomial cyclotomic cyclotomic_factor moebius stirling2 totient
+    DegenerateIterate DomainError HalfTwistPresent NotDivisible
+    NotEffectivelyTorified NotQuasiUnipotent NotSplit TruncationTooSmall
+    QZElement SplitQZElement pi_n_times_n rho sigma split unsplit
+    GhostVector RationalWitt WittVector frobenius ghost ghost_divide rational_div
+    teichmuller unghost verschiebung witt_add witt_mul
+    LClass LeveledClass TorifiedClass bb_assemble euler_characteristic f1m_points
+    l_to_t t_to_l virtual_motive
+    f1_zeta hw_quotient_check hw_zeta polylog_rational q_to_1_limit z0 z1
+    EndoObject GradedEndoObject delta direct_sum endo_frobenius endo_verschiebung
+    l_map phi_mu tensor
+    LefschetzZeta ToralMap artin_mazur_series lefschetz_numbers lefschetz_zeta_closed
+    lefschetz_zeta_series spectral_euler torified_dynamical_zeta verschiebung_block
+    CyclicAction RelativeObject euler_char periodic_points sigma_action
+    verschiebung_action
+    __version__
+""".split()
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("BCWITT_TRUNC", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          stdin=subprocess.DEVNULL, timeout=60)
+
+
+def test_every_subcommand_has_a_call():
+    assert set(CALLS) == {(g, n) for g, (_, subs) in COMMANDS.items() for n in subs}
+
+
+@pytest.mark.parametrize("group,name", sorted(CALLS))
+def test_subcommand_in_fresh_process(group, name, capsys):
+    argv = [group, name, *CALLS[group, name]]
+    code = main(argv)
+    expected = capsys.readouterr().out
+    done = fresh_python("-m", "bcwitt.cli", *argv)
+    assert (done.returncode, done.stdout) == (code, expected), done.stderr
+    assert code == 0
+
+
+def test_cli_import_loads_no_library_module():
+    done = fresh_python("-c", "import sys, bcwitt.cli; print(' '.join(sorted(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "dataclasses" not in loaded
+    heavy = {"witt", "qz", "torified", "zeta", "endo", "linalg", "dynamical", "equivariant"}
+    assert not {f"bcwitt.{m}" for m in heavy} & loaded
+
+
+def test_exported_names_resolve_in_fresh_process():
+    done = fresh_python("-c", "import bcwitt\n"
+                        "print(bcwitt.linalg.__name__, bcwitt.cli.__name__)\n"
+                        f"from bcwitt import {', '.join(EXPORTED)}\n"
+                        f"print(*[n for n in {EXPORTED!r} if n not in dir(bcwitt)])")
+    assert (done.returncode, done.stdout) == (0, "bcwitt.linalg bcwitt.cli\n\n"), done.stderr

@@ -539,3 +539,19 @@ def test_series_mul_shared_denominator_rule(monkeypatch):
         seen.clear()
         assert _typed(series_mul(a, b, 4)) == _typed(_series_mul_oracle(a, b, 4))
         assert seen == [1]
+
+
+def test_vectors_are_frozen_records():
+    w = WittVector(2, (1, Fraction(1, 2)))
+    assert w == WittVector(coeffs=(1, Fraction(1, 2)), trunc=2)
+    assert w != GhostVector(2, (1, Fraction(1, 2)))          # same fields, other class
+    assert hash(w) == hash((2, (1, Fraction(1, 2))))
+    assert repr(w) == "WittVector(trunc=2, coeffs=(1, Fraction(1, 2)))"
+    assert repr(RationalWitt.of([1], [1, -2])) == (                  # its own __repr__
+        "RationalWitt(Polynomial(1) / Polynomial(1 - 2*t))")
+    with pytest.raises(AttributeError):
+        w.trunc = 3
+    with pytest.raises(ValueError):                          # __post_init__ still runs
+        WittVector(3, (1,))
+    with pytest.raises(TypeError):
+        WittVector(2)
