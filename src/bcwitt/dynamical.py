@@ -35,17 +35,18 @@ companion Verschiebung blocks into the division-point maps.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Literal, Sequence
+from collections import Counter
+from typing import TYPE_CHECKING, Literal, Sequence
 
 from .arith import cyclotomic_factor, divisors, factorize, moebius, totient
 from .errors import DegenerateIterate, _json_list
 from . import linalg
 from .linalg import Matrix
-from .qz import QZElement
-from .endo import EndoObject, endo_verschiebung
-from .witt import GhostVector, WittVector, ghost, unghost, witt_add
+from .witt import GhostVector, WittVector, _unghost, ghost, unghost, witt_add
 from .record import Record
+
+if TYPE_CHECKING:
+    from .qz import QZElement
 
 
 class ToralMap(Record):
@@ -81,8 +82,7 @@ def lefschetz_numbers(f: ToralMap, trunc: int) -> list[int]:
     if d == 0:
         return [1] * trunc
     g = ghost(WittVector.from_coeffs(linalg.char_series(f.matrix).coeffs[1:], trunc * d)).values
-    return [1 + sum(unghost(GhostVector.of(g[n - 1::n][:d])).coeffs)
-            for n in range(1, trunc + 1)]
+    return [1 + sum(_unghost(g[n - 1::n][:d])) for n in range(1, trunc + 1)]
 
 
 def lefschetz_zeta_series(f: ToralMap, trunc: int) -> WittVector:
@@ -170,18 +170,15 @@ def torified_dynamical_zeta(parts: Sequence[ToralMap], trunc: int,
 def spectral_euler(m: Matrix | ToralMap) -> QZElement:
     """Eigenvalues as division points: Phi_d contributes the primitive
     points of denominator d, with the factor's multiplicity."""
+    from .qz import _primitive_points
+
     mat = m.matrix if isinstance(m, ToralMap) else linalg.as_matrix(m)
-    indices = cyclotomic_factor(linalg.charpoly(mat))
-    acc: dict[Fraction, int] = {}
-    for d in indices:
-        for num in range(d):
-            if math.gcd(num, d) == 1:
-                r = Fraction(num, d)
-                acc[r] = acc.get(r, 0) + 1
-    return QZElement.from_terms(acc)
+    return _primitive_points(Counter(cyclotomic_factor(linalg.charpoly(mat))))
 
 
 def verschiebung_block(n: int, m: Matrix | ToralMap) -> Matrix:
     """The nd x nd companion block whose n-th power is block-diagonal m."""
+    from .endo import EndoObject, endo_verschiebung
+
     mat = m.matrix if isinstance(m, ToralMap) else linalg.as_matrix(m)
     return endo_verschiebung(n, EndoObject(mat)).matrix

@@ -31,11 +31,11 @@ is, per base orbit, the multiset of total-orbit sizes lying over it.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from typing import Sequence
 
 from .errors import _json_list
-from .qz import QZElement
+from .qz import QZElement, _primitive_points
 from .record import Record
 
 
@@ -209,12 +209,12 @@ def bc_rho(n: int, x: RelativeObject) -> RelativeObject:
 
 def euler_char(a: CyclicAction) -> QZElement:
     """Each orbit of size d contributes the division points of order
-    dividing d: sum over r with d*r = 0 of e(r)."""
-    acc: dict[Fraction, int] = {}
-    for orbit in a.orbits():
-        d = len(orbit)
-        for j in range(d):
-            r = Fraction(j, d)
-            acc[r] = acc.get(r, 0) + 1
-    return QZElement.from_terms(acc)
+    dividing d: sum over r with d*r = 0 of e(r), so each divisor e of d
+    adds the points of exact order e."""
+    orders: dict[int, int] = {}
+    for d, k in Counter(map(len, a.orbits())).items():
+        for e in range(1, d + 1):
+            if not d % e:
+                orders[e] = orders.get(e, 0) + k
+    return _primitive_points(orders)
 

@@ -1,8 +1,14 @@
 """The group ring Z[Q/Z] and its Bost-Connes maps.
 
-Elements of Q/Z are reduced Fractions in [0, 1); an element of the group
-ring is a finite map from such fractions to nonzero integer coefficients.
-The ring product convolves exponents: e(r) * e(s) = e(r + s mod 1).
+An element of the group ring is a finite map from points of Q/Z to nonzero
+integer coefficients.  The ring product convolves exponents:
+e(r) * e(s) = e(r + s mod 1).
+
+Inside this module a point num/den of Q/Z is the int key (den, num) in
+lowest terms with 0 <= num < den, reduced by one gcd; sums collect on
+those keys, and sorting them gives the canonical (denominator, numerator)
+order.  Fractions appear only in ``QZElement.terms``: one Fraction(num, den)
+per distinct point of a result, built from the sorted keys.
 
 The semigroup maps implemented here are
 
@@ -26,7 +32,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .arith import factorize
 from .record import Record
 
 
@@ -36,10 +41,23 @@ def qz(num: int, den: int = 1) -> Fraction:
     return f - math.floor(f)
 
 
-def _canon_terms(terms: Mapping[Fraction, int]) -> tuple[tuple[Fraction, int], ...]:
-    items = [(r, c) for r, c in terms.items() if c != 0]
-    items.sort(key=lambda rc: (rc[0].denominator, rc[0].numerator))
-    return tuple(items)
+def _point(num: int, den: int) -> tuple[int, int]:
+    """The key (den, num) of num/den mod 1 in lowest terms; den > 0."""
+    g = math.gcd(num, den)
+    den //= g
+    return den, num // g % den
+
+
+def _element(acc: Mapping[tuple[int, int], int]) -> "QZElement":
+    """The canonical element of a map from point keys to coefficients."""
+    return QZElement(tuple((Fraction(num, den), c) for (den, num), c in sorted(acc.items()) if c))
+
+
+def _primitive_points(orders: Mapping[int, int]) -> "QZElement":
+    """Sum over d of orders[d] times the points of exact order d, j/d with
+    gcd(j, d) = 1; the canonical order is that of d, then j."""
+    return QZElement(tuple((Fraction(j, d), c) for d, c in sorted(orders.items()) if c
+                           for j in range(d) if math.gcd(j, d) == 1))
 
 
 class QZElement(Record):
@@ -49,12 +67,12 @@ class QZElement(Record):
 
     @staticmethod
     def from_terms(terms: Mapping[Fraction, int] | Iterable[tuple[Fraction, int]]) -> "QZElement":
-        acc: dict[Fraction, int] = {}
+        acc: dict[tuple[int, int], int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for r, c in items:
-            r = qz(r.numerator, r.denominator)
-            acc[r] = acc.get(r, 0) + c
-        return QZElement(_canon_terms(acc))
+            key = _point(r.numerator, r.denominator)
+            acc[key] = acc.get(key, 0) + c
+        return _element(acc)
 
     @staticmethod
     def zero() -> "QZElement":
@@ -77,10 +95,11 @@ class QZElement(Record):
         return not self.terms
 
     def __add__(self, other: "QZElement") -> "QZElement":
-        acc = dict(self.terms)
+        acc = {(r.denominator, r.numerator): c for r, c in self.terms}
         for r, c in other.terms:
-            acc[r] = acc.get(r, 0) + c
-        return QZElement(_canon_terms(acc))
+            key = r.denominator, r.numerator
+            acc[key] = acc.get(key, 0) + c
+        return _element(acc)
 
     def __neg__(self) -> "QZElement":
         return QZElement(tuple((r, -c) for r, c in self.terms))
@@ -90,13 +109,15 @@ class QZElement(Record):
 
     def __mul__(self, other: "QZElement | int") -> "QZElement":
         if isinstance(other, int):
-            return QZElement(_canon_terms({r: c * other for r, c in self.terms}))
-        acc: dict[Fraction, int] = {}
+            return _element({(r.denominator, r.numerator): c * other for r, c in self.terms})
+        right = [(s.numerator, s.denominator, b) for s, b in other.terms]
+        acc: dict[tuple[int, int], int] = {}
         for r, a in self.terms:
-            for s, b in other.terms:
-                key = qz((r + s).numerator, (r + s).denominator)
+            rn, rd = r.numerator, r.denominator
+            for sn, sd, b in right:
+                key = _point(rn * sd + sn * rd, rd * sd)
                 acc[key] = acc.get(key, 0) + a * b
-        return QZElement(_canon_terms(acc))
+        return _element(acc)
 
     __rmul__ = __mul__
 
@@ -117,19 +138,24 @@ def sigma(n: int, a: QZElement) -> QZElement:
     """Ring endomorphism e(r) -> e(n r mod 1)."""
     if n < 1:
         raise ValueError("sigma needs n >= 1")
-    return QZElement.from_terms([(qz(n * r.numerator, r.denominator), c) for r, c in a.terms])
+    acc: dict[tuple[int, int], int] = {}
+    for r, c in a.terms:
+        key = _point(n * r.numerator, r.denominator)
+        acc[key] = acc.get(key, 0) + c
+    return _element(acc)
 
 
 def rho(n: int, a: QZElement) -> QZElement:
     """Additive map e(r) -> sum over the n solutions of n r' = r."""
     if n < 1:
         raise ValueError("rho needs n >= 1")
-    out: dict[Fraction, int] = {}
+    out: dict[tuple[int, int], int] = {}
     for r, c in a.terms:
+        num, den = r.numerator, r.denominator
         for j in range(n):
-            key = qz(r.numerator + j * r.denominator, n * r.denominator)
+            key = _point(num + j * den, n * den)
             out[key] = out.get(key, 0) + c
-    return QZElement(_canon_terms(out))
+    return _element(out)
 
 
 def pi_n_times_n(n: int) -> QZElement:
@@ -174,6 +200,8 @@ def _canon_split(acc: Mapping[tuple[Fraction, Fraction], int]):
 
 def split(primes: Iterable[int], a: QZElement) -> SplitQZElement:
     """Decompose each e(r) as e(r_F) (x) e(r^F) by CRT on the denominator."""
+    from .arith import factorize
+
     fset = frozenset(primes)
     if not fset:
         raise ValueError("split needs a nonempty set of primes")
@@ -197,8 +225,9 @@ def split(primes: Iterable[int], a: QZElement) -> SplitQZElement:
 
 def unsplit(s: SplitQZElement) -> QZElement:
     """Inverse of split: multiply the two tensor legs back together."""
-    acc: dict[Fraction, int] = {}
+    acc: dict[tuple[int, int], int] = {}
     for (rf, rc), c in s.terms:
-        r = qz((rf + rc).numerator, (rf + rc).denominator)
-        acc[r] = acc.get(r, 0) + c
-    return QZElement(_canon_terms(acc))
+        key = _point(rf.numerator * rc.denominator + rc.numerator * rf.denominator,
+                     rf.denominator * rc.denominator)
+        acc[key] = acc.get(key, 0) + c
+    return _element(acc)

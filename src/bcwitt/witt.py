@@ -27,7 +27,11 @@ above 1000 after the first entry, or a cover past its bit cap), and in
 sum at the last nonzero coefficient, so a polynomial padded to truncation
 N costs O(N * degree).  ``ghost``, ``unghost``, ``series_mul`` and ``series_div``
 are the package's only Newton and convolution loops; the matrix layers
-reach them through det(1 - t M).
+reach them through det(1 - t M).  Each keeps its past outputs in a buffer
+newest first, so every inner sum is one ``sum(map(mul, coeffs, rev))``.
+``_unghost`` is the body of ``unghost`` on a plain sequence of values,
+returning the coefficients with no vector built:
+``dynamical.lefschetz_numbers`` calls it once per iterate.
 
 Operations follow the Witt dictionary: addition is the series product,
 multiplication is pointwise on ghosts, the Teichmueller lift of a is the
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from .arith import _CLEAR_MAX_BITS, Polynomial, _clear, _norm_coeff, _unclear, poly_gcd
@@ -165,10 +170,12 @@ def series_mul(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]
     if (da * db).bit_length() > _CLEAR_MAX_BITS * (ka + kb):
         da = db = 1
     a, b = (da, *_numerators(a, da)), (db, *_numerators(b, db))
+    # rev is b_m, ..., b_0 at step m (0 past the end of b), pairing with a_0, a_1, ...
+    rev = [db]
     out: list[Scalar] = []
     for m in range(1, n + 1):
-        lo, hi = max(0, m - len(b) + 1), min(m, len(a) - 1)
-        out.append(_norm_coeff(sum(a[i] * b[m - i] for i in range(lo, hi + 1))))
+        rev.insert(0, b[m] if m < len(b) else 0)
+        out.append(_norm_coeff(sum(map(mul, a, rev))))
     return _unclear(out, 1, da * db)
 
 
@@ -177,13 +184,12 @@ def series_div(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]
     # The second pass over a only scales: the E that covers b covers a too.
     E, b = _clear(b, _clear(a)[0])
     E, a = _clear(a, E)
-    out: list[Scalar] = [1]
+    # rev holds the outputs newest first, down to the constant term 1.
+    rev: list[Scalar] = [1]
     for m in range(1, n + 1):
         s = a[m - 1] if m <= len(a) else 0
-        for j in range(1, min(m, len(b)) + 1):
-            s -= b[j - 1] * out[m - j]
-        out.append(_norm_coeff(s))
-    return _unclear(out[1:], E)
+        rev.insert(0, _norm_coeff(s - sum(map(mul, b, rev))))
+    return _unclear(rev[-2::-1], E)
 
 
 # ------------------------------------------------------------- ghost bridge
@@ -195,39 +201,41 @@ def ghost(w: WittVector) -> GhostVector:
     while deg and not c[deg - 1]:
         deg -= 1
     E, c = _clear(c[:deg])
-    ns: list[Scalar] = []
+    rev: list[Scalar] = []          # N_{m-1}, ..., N_1
     for m in range(1, w.trunc + 1):
         s = m * c[m - 1] if m <= deg else 0
-        for i in range(1, min(m, deg + 1)):
-            s -= c[i - 1] * ns[m - i - 1]
-        ns.append(_norm_coeff(s))
-    return GhostVector(w.trunc, tuple(_unclear(ns, E)))
+        rev.insert(0, _norm_coeff(s - sum(map(mul, c, rev))))
+    return GhostVector(w.trunc, tuple(_unclear(rev[::-1], E)))
 
 
-def unghost(g: GhostVector) -> WittVector:
-    """Series with the given ghost components (exp of the generating series)."""
-    if g.is_symbolic():
-        raise ValueError("cannot expand a symbolic ghost vector; take q -> value first")
-    E, v = _clear(g.values)
-    # xs holds S c_m (scaled by E^m); S grows by the least factor that makes
-    # each inexact division by m exact.
+def _unghost(values: Sequence[Scalar]) -> Sequence[Scalar]:
+    """The coefficients c_1..c_N of the series with ghosts N_1..N_N: the
+    body of ``unghost`` on plain int/Fraction values, with no vector built."""
+    E, v = _clear(values)
+    # rev holds S c_{m-1}, ..., S c_1 (scaled by E^m); S grows by the least
+    # factor that makes each inexact division by m exact.
     S = 1
-    xs: list[Scalar] = []
-    for m in range(1, g.trunc + 1):
-        s = S * v[m - 1]
-        for j in range(1, m):
-            s += v[j - 1] * xs[m - j - 1]
+    rev: list[Scalar] = []
+    for m, x in enumerate(v, 1):
+        s = S * x + sum(map(mul, v, rev))
         if type(s) is int:
             r = s % m
             if r:
                 f = m // math.gcd(r, m)
                 S *= f
                 s *= f
-                xs = [x * f for x in xs]
-            xs.append(s // m)
+                rev = [y * f for y in rev]
+            rev.insert(0, s // m)
         else:
-            xs.append(_norm_coeff(Fraction(s, m)))
-    return WittVector(g.trunc, tuple(_unclear(xs, E, S)))
+            rev.insert(0, _norm_coeff(Fraction(s, m)))
+    return _unclear(rev[::-1], E, S)
+
+
+def unghost(g: GhostVector) -> WittVector:
+    """Series with the given ghost components (exp of the generating series)."""
+    if g.is_symbolic():
+        raise ValueError("cannot expand a symbolic ghost vector; take q -> value first")
+    return WittVector(g.trunc, tuple(_unghost(g.values)))
 
 
 # ------------------------------------------------------------ ring structure

@@ -105,6 +105,29 @@ def test_cli_import_loads_no_library_module():
     assert not {f"bcwitt.{m}" for m in heavy} & loaded
 
 
+# Modules a subcommand never runs, so its call must not load them.
+UNUSED = {
+    ("qz", "sigma"): {"arith"},
+    ("qz", "rho"): {"arith"},
+    ("qz", "mul"): {"arith"},
+    **{("equivariant", name): {"arith"} for name in COMMANDS["equivariant"][1]},
+    ("zeta", "lefschetz"): {"endo", "qz"},
+    ("zeta", "artin-mazur"): {"endo", "qz"},
+}
+
+
+@pytest.mark.parametrize("group,name", sorted(UNUSED))
+def test_call_loads_only_what_it_runs(group, name):
+    done = fresh_python("-c", "import sys\n"
+                        "from bcwitt.cli import main\n"
+                        "code = main(sys.argv[1:])\n"
+                        "print(code, *sorted(sys.modules))", group, name, *CALLS[group, name])
+    assert done.returncode == 0, done.stderr
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert not {f"bcwitt.{m}" for m in UNUSED[group, name]} & set(loaded)
+
+
 def test_exported_names_resolve_in_fresh_process():
     done = fresh_python("-c", "import bcwitt\n"
                         "print(bcwitt.linalg.__name__, bcwitt.cli.__name__)\n"

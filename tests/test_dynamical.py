@@ -75,6 +75,66 @@ def test_lefschetz_numbers_match_power_determinants():
         assert lefschetz_numbers(f, 24) == expected
 
 
+def _lefschetz_numbers_oracle(f, trunc):
+    """One GhostVector and one unghost per iterate, as the vectors' own path."""
+    d = f.dim
+    g = ghost(WittVector.from_coeffs(linalg.char_series(f.matrix).coeffs[1:], trunc * d)).values
+    return [1 + sum(unghost(GhostVector.of(g[n - 1::n][:d])).coeffs)
+            for n in range(1, trunc + 1)]
+
+
+def _permuted(rows, rng):
+    p = list(range(len(rows)))
+    rng.shuffle(p)
+    return [[rows[p[i]][p[j]] for j in p] for i in p]
+
+
+def _quasi_unipotent(rng, d, max_index=60):
+    """A companion of a product of cyclotomics, or a block sum of their
+    companions, with totients summing to d, in a permuted basis."""
+    indices, left = [], d
+    while left:
+        m = rng.choice([m for m in range(1, max_index + 1) if totient(m) <= left])
+        indices.append(m)
+        left -= totient(m)
+    if rng.random() < 0.5:
+        rows = cyclotomic_companion(*indices).matrix
+    else:
+        rows = ()
+        for m in indices:
+            rows = linalg.block_diag(rows, cyclotomic_companion(m).matrix)
+    return ToralMap.of(_permuted(rows, rng)), indices
+
+
+def test_lefschetz_numbers_match_the_vector_path():
+    rng = random.Random(223)
+    for _ in range(30):
+        f, _ = _quasi_unipotent(rng, rng.randint(1, 12))
+        got = lefschetz_numbers(f, 48)
+        assert [type(x) for x in got] == [int] * 48
+        assert got == _lefschetz_numbers_oracle(f, 48)
+    for _ in range(10):
+        d = rng.randint(1, 12)
+        f = ToralMap.of([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+        got = lefschetz_numbers(f, 48)
+        assert [type(x) for x in got] == [int] * 48
+        assert got == _lefschetz_numbers_oracle(f, 48)
+
+
+def test_spectral_euler_matches_fraction_keyed_sum():
+    rng = random.Random(227)
+    for _ in range(30):
+        f, indices = _quasi_unipotent(rng, rng.randint(1, 24))
+        acc = {}
+        for d in indices:
+            for num in range(d):
+                if math.gcd(num, d) == 1:
+                    acc[Fraction(num, d)] = acc.get(Fraction(num, d), 0) + 1
+        expected = sorted(acc.items(), key=lambda rc: (rc[0].denominator, rc[0].numerator))
+        assert [(type(r), r, type(c), c) for r, c in spectral_euler(f).terms] == [
+            (type(r), r, type(c), c) for r, c in expected]
+
+
 def exterior_trace(m, k):
     """Trace of the k-th exterior power: sum of principal k x k minors."""
     if k == 0:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -114,3 +115,141 @@ def test_json_roundtrip():
     a = e(Fraction(1, 3), 2) - e(Fraction(5, 7), 3) + e(0)
     assert QZElement.from_json(a.to_json()) == a
     assert a.to_json()["terms"][0]["r"] == "0"
+
+
+# ------------------------------------------------ Fraction-keyed oracles
+# The group-ring maps on Fraction keys: every point built by qz() and summed
+# in a dict keyed by Fraction, then sorted by (denominator, numerator).
+
+def _canon_oracle(acc):
+    items = [(r, c) for r, c in acc.items() if c != 0]
+    items.sort(key=lambda rc: (rc[0].denominator, rc[0].numerator))
+    return tuple(items)
+
+
+def _from_terms_oracle(items):
+    acc = {}
+    for r, c in items:
+        r = qz(r.numerator, r.denominator)
+        acc[r] = acc.get(r, 0) + c
+    return _canon_oracle(acc)
+
+
+def _sigma_oracle(n, terms):
+    return _from_terms_oracle([(qz(n * r.numerator, r.denominator), c) for r, c in terms])
+
+
+def _rho_oracle(n, terms):
+    acc = {}
+    for r, c in terms:
+        for j in range(n):
+            key = qz(r.numerator + j * r.denominator, n * r.denominator)
+            acc[key] = acc.get(key, 0) + c
+    return _canon_oracle(acc)
+
+
+def _add_oracle(a, b):
+    acc = dict(a)
+    for r, c in b:
+        acc[r] = acc.get(r, 0) + c
+    return _canon_oracle(acc)
+
+
+def _mul_oracle(a, b):
+    acc = {}
+    for r, x in a:
+        for s, y in b:
+            key = qz((r + s).numerator, (r + s).denominator)
+            acc[key] = acc.get(key, 0) + x * y
+    return _canon_oracle(acc)
+
+
+def _unsplit_oracle(terms):
+    acc = {}
+    for (rf, rc), c in terms:
+        r = qz((rf + rc).numerator, (rf + rc).denominator)
+        acc[r] = acc.get(r, 0) + c
+    return _canon_oracle(acc)
+
+
+def _euler_char_oracle(action):
+    acc = {}
+    for orbit in action.orbits():
+        d = len(orbit)
+        for j in range(d):
+            r = Fraction(j, d)
+            acc[r] = acc.get(r, 0) + 1
+    return _from_terms_oracle(acc.items())
+
+
+def _typed(terms):
+    return [(type(r), r, type(c), c) for r, c in terms]
+
+
+def _raw_terms(rng, max_den=10**6):
+    """Unreduced points, negative or >= 1, some of them equal mod 1 with
+    coefficients that cancel."""
+    items = []
+    for _ in range(rng.randint(0, 8)):
+        den = rng.choice((rng.randint(1, 12), rng.randint(1, max_den)))
+        num = rng.randint(-5 * den, 5 * den)
+        c = rng.randint(-3, 3)
+        items.append((Fraction(num, den), c))
+        if rng.random() < 0.3:
+            items.append((Fraction(num + rng.randint(-3, 3) * den, den), -c))
+    return items
+
+
+def test_from_terms_matches_fraction_keyed_oracle():
+    rng = random.Random(23)
+    for _ in range(300):
+        items = _raw_terms(rng)
+        assert _typed(QZElement.from_terms(items).terms) == _typed(_from_terms_oracle(items))
+        as_map = dict(items)
+        assert _typed(QZElement.from_terms(as_map).terms) == _typed(
+            _from_terms_oracle(as_map.items()))
+    assert QZElement.from_terms([(Fraction(5, 2), 1), (Fraction(-1, 2), -1)]).is_zero()
+
+
+def test_ring_maps_match_fraction_keyed_oracle():
+    rng = random.Random(29)
+    for _ in range(200):
+        a = QZElement.from_terms(_raw_terms(rng))
+        b = QZElement.from_terms(_raw_terms(rng))
+        n = rng.randint(1, 12)
+        assert _typed(sigma(n, a).terms) == _typed(_sigma_oracle(n, a.terms))
+        assert _typed(rho(n, a).terms) == _typed(_rho_oracle(n, a.terms))
+        assert _typed((a + b).terms) == _typed(_add_oracle(a.terms, b.terms))
+        assert _typed((a - b).terms) == _typed(
+            _add_oracle(a.terms, tuple((r, -c) for r, c in b.terms)))
+        assert _typed((a * b).terms) == _typed(_mul_oracle(a.terms, b.terms))
+        k = rng.randint(-3, 3)
+        assert _typed((a * k).terms) == _typed(_canon_oracle({r: c * k for r, c in a.terms}))
+        assert (a - a).is_zero() and (a * 0).is_zero()
+        for fset in ({2}, {3}, {2, 3}, {5, 7}):
+            s = split(fset, a)
+            assert _typed(unsplit(s).terms) == _typed(_unsplit_oracle(s.terms))
+    # Products whose terms cancel: (e(0) + e(1/2)) (e(0) - e(1/2)) = 0.
+    half = e(Fraction(1, 2))
+    assert ((e(0) + half) * (e(0) - half)).terms == _mul_oracle(
+        (e(0) + half).terms, (e(0) - half).terms) == ()
+
+
+def test_euler_char_matches_fraction_keyed_oracle():
+    from bcwitt.equivariant import CyclicAction, euler_char, verschiebung_action
+
+    rng = random.Random(31)
+    for _ in range(60):
+        sizes = [rng.randint(1, 60) for _ in range(rng.randint(1, 5))]
+        points = list(range(sum(sizes)))
+        rng.shuffle(points)
+        perm, off = [0] * len(points), 0
+        for s in sizes:
+            cycle = points[off:off + s]
+            for i, x in enumerate(cycle):
+                perm[x] = cycle[(i + 1) % s]
+            off += s
+        a = CyclicAction.of(math.lcm(*sizes), perm)
+        for action in (a, verschiebung_action(rng.randint(2, 5), a)):
+            assert _typed(euler_char(action).terms) == _typed(_euler_char_oracle(action))
+    assert euler_char(CyclicAction.trivial(1, 0)).is_zero()

@@ -10,6 +10,7 @@ from bcwitt.witt import (
     GhostVector,
     RationalWitt,
     WittVector,
+    _unghost,
     frobenius,
     ghost,
     ghost_divide,
@@ -353,6 +354,7 @@ def _check_kernels(a, b):
     assert _typed(unghost(ga).coeffs) == _typed(_unghost_oracle(ga.values))
     prod = ga * gb
     assert _typed(unghost(prod).coeffs) == _typed(_unghost_oracle(prod.values))
+    assert _typed(_unghost(list(prod.values))) == _typed(_unghost_oracle(prod.values))
     assert _typed(series_mul(wa.coeffs, wb.coeffs, n)) == _typed(
         _series_mul_oracle(wa.coeffs, wb.coeffs, n))
     assert _typed(series_div(wa.coeffs, wb.coeffs, n)) == _typed(
@@ -422,6 +424,26 @@ def test_kernels_match_fraction_path_edge_cases():
         _check_kernels([0] * n, [0] * n)
     for x in (5, Fraction(1, 3), Fraction(-7, 2**61 - 1)):
         _check_kernels([x], [Fraction(2, 9)])
+
+
+def test_newest_first_buffers_at_the_edges():
+    """The kernels' newest-first buffers at N = 1, on degree-0 and all-zero
+    sides, and on sides shorter or longer than the output."""
+    rng = random.Random(331)
+    sides = [(), (0,), [0] * 5, (Fraction(1, 3),), (5,),
+             [rng.randint(-9, 9) for _ in range(3)],
+             [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(7)]]
+    for n in (1, 2, 6):
+        for a in sides:
+            for b in sides:
+                assert _typed(series_mul(a, b, n)) == _typed(_series_mul_oracle(a, b, n))
+                assert _typed(series_div(a, b, n)) == _typed(_series_div_oracle(a, b, n))
+            w = WittVector.from_coeffs(a, n)
+            assert _typed(ghost(w).values) == _typed(_ghost_oracle(w.coeffs))
+            assert _typed(_unghost(w.coeffs)) == _typed(_unghost_oracle(w.coeffs))
+            assert _typed(unghost(GhostVector.of(w.coeffs)).coeffs) == _typed(
+                _unghost_oracle(w.coeffs))
+    assert _unghost(()) == []
 
 
 _PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
