@@ -10,7 +10,9 @@ polynomials only.
 
 Importing the package loads none of its modules: each public name below
 (and each submodule) is imported on first access (PEP 562), so a caller
-that needs one module pays for that module only.
+that needs one module pays for that module only.  ``_EXPORTS`` is the one
+map from a module to the names it exports; the CLI's handlers resolve
+library names through it too.
 """
 
 from importlib import import_module

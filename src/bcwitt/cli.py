@@ -13,7 +13,8 @@ read its JSON from a file, and ``--input FILE`` supplies missing payload
 flags from a single JSON object keyed by flag name.  ``--trunc`` defaults
 to 12, overridable with the BCWITT_TRUNC environment variable.
 
-A handler imports the library modules it runs when it runs, and only the
+Handlers reach the library through the package (``lib``), whose lazy name
+table ``bcwitt._EXPORTS`` loads each module on first use, and only the
 invoked group's subcommand parsers are built, so one call loads and builds
 only what its subcommand needs.
 """
@@ -26,6 +27,7 @@ import os
 import sys
 from fractions import Fraction
 
+import bcwitt as lib
 from .errors import DomainError
 
 DEFAULT_TRUNC = 12
@@ -85,14 +87,8 @@ def _numstr(x) -> str:
 
 
 def _ghost_json(g) -> list:
-    from .arith import Polynomial
-    out = []
-    for v in g.values:
-        if isinstance(v, Polynomial):
-            out.append([int(c) for c in v.coeffs])
-        else:
-            out.append(_numstr(v))
-    return out
+    poly = lib.Polynomial
+    return [[int(c) for c in v.coeffs] if isinstance(v, poly) else _numstr(v) for v in g.values]
 
 
 def _series_json(w) -> list:
@@ -100,8 +96,7 @@ def _series_json(w) -> list:
 
 
 def _series_out(series) -> dict:
-    from .witt import ghost
-    return {"ghost": _ghost_json(ghost(series)), "series": _series_json(series)}
+    return {"ghost": _ghost_json(lib.ghost(series)), "series": _series_json(series)}
 
 
 def _q(text: str):
@@ -110,104 +105,88 @@ def _q(text: str):
 
 
 def _parse_class(data: dict):
-    from . import torified
     if "T" in data:
-        return torified.TorifiedClass.from_json(data)
+        return lib.TorifiedClass.from_json(data)
     if "L" in data:
-        return torified.l_to_t(torified.LClass.from_json(data))
+        return lib.l_to_t(lib.LClass.from_json(data))
     raise UsageError("a class payload needs a 'T' or 'L' key")
 
 
 def _plain_action(args, data: dict):
-    from .equivariant import CyclicAction
     if "total" in data:
         raise UsageError(f"equivariant {args.subcommand} expects a plain action payload")
-    return CyclicAction.from_json(data)
+    return lib.CyclicAction.from_json(data)
 
 
 # ---------------------------------------------------------------- handlers
+# Library names are strings resolved when a handler runs, so building the
+# table below loads no module.
 
-def _qz_sigma(args, elem: dict) -> dict:
-    from .qz import QZElement, sigma
-    return sigma(args.n, QZElement.from_json(elem)).to_json()
+def _apply(fn: str, parse: str):
+    """Handler for lib.<fn> on the payloads, each read by lib.<parse>.from_json."""
+    return lambda args, *data: getattr(lib, fn)(
+        *map(getattr(lib, parse).from_json, data)).to_json()
 
 
-def _qz_rho(args, elem: dict) -> dict:
-    from .qz import QZElement, rho
-    return rho(args.n, QZElement.from_json(elem)).to_json()
+def _by_n(fn: str, parse: str):
+    """Handler for lib.<fn>(--n, payload), the payload read by lib.<parse>.from_json."""
+    return lambda args, data: getattr(lib, fn)(
+        args.n, getattr(lib, parse).from_json(data)).to_json()
+
+
+def _equivariant_by_n(plain: str, relative: str):
+    """Handler for --n maps on a plain action, or on a relative object ('total'
+    key) by the equivariant module's own ``relative`` map."""
+    def handler(args, data: dict) -> dict:
+        if "total" in data:
+            return getattr(lib.equivariant, relative)(
+                args.n, lib.RelativeObject.from_json(data)).to_json()
+        return getattr(lib, plain)(args.n, lib.CyclicAction.from_json(data)).to_json()
+    return handler
 
 
 def _qz_mul(args, a: dict, b: dict) -> dict:
-    from .qz import QZElement
-    return (QZElement.from_json(a) * QZElement.from_json(b)).to_json()
+    return (lib.QZElement.from_json(a) * lib.QZElement.from_json(b)).to_json()
 
 
 def _qz_split(args, elem: dict) -> dict:
-    from . import qz
-    elem = qz.QZElement.from_json(elem)
+    elem = lib.QZElement.from_json(elem)
     try:
         primes = [int(p) for p in args.primes.split(",") if p]
     except ValueError:
         raise UsageError(f"--primes must be a comma list of primes, not {args.primes!r}")
-    return qz.split(primes, elem).to_json()
-
-
-def _witt_add(args, a: dict, b: dict) -> dict:
-    from .witt import WittVector, witt_add
-    return witt_add(WittVector.from_json(a), WittVector.from_json(b)).to_json()
-
-
-def _witt_mul(args, a: dict, b: dict) -> dict:
-    from .witt import WittVector, witt_mul
-    return witt_mul(WittVector.from_json(a), WittVector.from_json(b)).to_json()
-
-
-def _witt_frobenius(args, w: dict) -> dict:
-    from .witt import WittVector, frobenius
-    return frobenius(args.n, WittVector.from_json(w)).to_json()
-
-
-def _witt_verschiebung(args, w: dict) -> dict:
-    from .witt import WittVector, verschiebung
-    return verschiebung(args.n, WittVector.from_json(w)).to_json()
+    return lib.split(primes, elem).to_json()
 
 
 def _witt_ghost(args, w: dict) -> dict:
-    from .witt import WittVector, ghost
-    g = ghost(WittVector.from_json(w))
+    g = lib.ghost(lib.WittVector.from_json(w))
     return {"trunc": g.trunc, "ghost": _ghost_json(g)}
 
 
 def _class_convert(args, data: dict) -> dict:
-    from .torified import t_to_l
     cls = _parse_class(data)
-    return (t_to_l(cls) if "T" in data else cls).to_json()
+    return (lib.t_to_l(cls) if "T" in data else cls).to_json()
 
 
 def _class_points(args, cls: dict) -> dict:
-    from .torified import f1m_points
-    return {"count": str(f1m_points(_parse_class(cls), args.m))}
+    return {"count": str(lib.f1m_points(_parse_class(cls), args.m))}
 
 
 def _class_bb(args, pieces: list) -> dict:
-    from .torified import bb_assemble
-    return bb_assemble([(_parse_class(p["class"]), int(p["d"])) for p in pieces]).to_json()
+    return lib.bb_assemble([(_parse_class(p["class"]), int(p["d"])) for p in pieces]).to_json()
 
 
 def _class_virtual(args, cls: dict) -> dict:
-    from .torified import LClass, virtual_motive
-    return virtual_motive(LClass.from_json(cls), args.dim).to_json()
+    return lib.virtual_motive(lib.LClass.from_json(cls), args.dim).to_json()
 
 
 def _zeta_f1(args, cls: dict) -> dict:
-    from .zeta import f1_zeta
-    z = f1_zeta(_parse_class(cls), args.trunc)
+    z = lib.f1_zeta(_parse_class(cls), args.trunc)
     return {"ghost": _ghost_json(z.ghost), "series": _series_json(z.witt)}
 
 
 def _zeta_hw(args, cls: dict) -> dict:
-    from .zeta import hw_zeta
-    z = hw_zeta(_parse_class(cls), _q(args.q), args.trunc)
+    z = lib.hw_zeta(_parse_class(cls), _q(args.q), args.trunc)
     out = {"ghost": _ghost_json(z.ghost)}
     if z.rational is not None:
         out["series"] = _series_json(z.rational.expand(args.trunc))
@@ -216,102 +195,58 @@ def _zeta_hw(args, cls: dict) -> dict:
 
 
 def _zeta_lefschetz(args, matrix: dict) -> dict:
-    from . import dynamical
-    f = dynamical.ToralMap.from_json(matrix)
+    f = lib.ToralMap.from_json(matrix)
     if args.closed:
-        return dynamical.lefschetz_zeta_closed(f).to_json()
-    return _series_out(dynamical.lefschetz_zeta_series(f, args.trunc))
+        return lib.lefschetz_zeta_closed(f).to_json()
+    return _series_out(lib.lefschetz_zeta_series(f, args.trunc))
 
 
 def _zeta_artin_mazur(args, matrix: dict) -> dict:
-    from .dynamical import ToralMap, artin_mazur_series
-    return _series_out(artin_mazur_series(ToralMap.from_json(matrix), args.trunc))
+    return _series_out(lib.artin_mazur_series(lib.ToralMap.from_json(matrix), args.trunc))
 
 
 def _zeta_quotient_check(args) -> dict:
-    from .zeta import hw_quotient_check
-    return {"ghost": _ghost_json(hw_quotient_check(args.k, _q(args.q), args.trunc))}
-
-
-def _endo_lmap(args, matrix: dict) -> dict:
-    from .endo import EndoObject, l_map
-    return l_map(EndoObject.from_json(matrix)).to_json()
-
-
-def _endo_frobenius(args, matrix: dict) -> dict:
-    from .endo import EndoObject, endo_frobenius
-    return endo_frobenius(args.n, EndoObject.from_json(matrix)).to_json()
-
-
-def _endo_verschiebung(args, matrix: dict) -> dict:
-    from .endo import EndoObject, endo_verschiebung
-    return endo_verschiebung(args.n, EndoObject.from_json(matrix)).to_json()
+    return {"ghost": _ghost_json(lib.hw_quotient_check(args.k, _q(args.q), args.trunc))}
 
 
 def _endo_delta(args, plus: dict, minus: dict) -> dict:
-    from .endo import EndoObject, GradedEndoObject, delta
-    return delta(GradedEndoObject(EndoObject.from_json(plus),
-                                  EndoObject.from_json(minus))).to_json()
+    return lib.delta(lib.GradedEndoObject(lib.EndoObject.from_json(plus),
+                                          lib.EndoObject.from_json(minus))).to_json()
 
 
 def _endo_phimu(args, rational: dict) -> dict:
-    from .endo import phi_mu
-    from .witt import RationalWitt
-    g = phi_mu(RationalWitt.from_json(rational))
+    g = lib.phi_mu(lib.RationalWitt.from_json(rational))
     return {"plus": g.plus.to_json(), "minus": g.minus.to_json()}
 
 
-def _euler_spectral(args, matrix: dict) -> dict:
-    from .dynamical import ToralMap, spectral_euler
-    return spectral_euler(ToralMap.from_json(matrix)).to_json()
-
-
-def _equivariant_sigma(args, data: dict) -> dict:
-    """sigma_n on a plain action, or on a relative object ('total' key)."""
-    from .equivariant import CyclicAction, RelativeObject, bc_sigma, sigma_action
-    if "total" in data:
-        return bc_sigma(args.n, RelativeObject.from_json(data)).to_json()
-    return sigma_action(args.n, CyclicAction.from_json(data)).to_json()
-
-
-def _equivariant_rho(args, data: dict) -> dict:
-    """rho_n on a plain action, or on a relative object ('total' key)."""
-    from .equivariant import CyclicAction, RelativeObject, bc_rho, verschiebung_action
-    if "total" in data:
-        return bc_rho(args.n, RelativeObject.from_json(data)).to_json()
-    return verschiebung_action(args.n, CyclicAction.from_json(data)).to_json()
-
-
 def _equivariant_periodic(args, action: dict) -> dict:
-    from .equivariant import periodic_points
-    return {"points": sorted(periodic_points(_plain_action(args, action), args.k))}
+    return {"points": sorted(lib.periodic_points(_plain_action(args, action), args.k))}
 
 
 def _equivariant_euler(args, action: dict) -> dict:
-    from .equivariant import euler_char
-    return euler_char(_plain_action(args, action)).to_json()
+    return lib.euler_char(_plain_action(args, action)).to_json()
 
 
 def _equivariant_check(args, data: dict) -> dict:
-    from . import equivariant, qz
+    eq = lib.equivariant
     a, n, kmax = _plain_action(args, data), args.n, args.kmax
-    shifted = equivariant.sigma_action(n, a)
-    spread = equivariant.verschiebung_action(n, a)
+    shifted = eq.sigma_action(n, a)
+    spread = eq.verschiebung_action(n, a)
     for k in range(1, kmax + 1):
-        if equivariant.periodic_points(shifted, k) != equivariant.periodic_points(a, n * k):
+        if eq.periodic_points(shifted, k) != eq.periodic_points(a, n * k):
             return {"ok": False, "failed": f"sigma periodic points at k={k}"}
-        pp = equivariant.periodic_points(spread, k)
+        pp = eq.periodic_points(spread, k)
         if k % n:
             expected = frozenset()
         else:
-            base = equivariant.periodic_points(a, k // n)
+            base = eq.periodic_points(a, k // n)
             expected = frozenset(j * a.size + s for j in range(n) for s in base)
         if pp != expected:
             return {"ok": False, "failed": f"verschiebung periodic points at k={k}"}
-    base_euler = equivariant.euler_char(a)
-    if equivariant.euler_char(shifted) != qz.sigma(n, base_euler):
+    base_euler = eq.euler_char(a)
+    if eq.euler_char(shifted) != lib.sigma(n, base_euler):
         return {"ok": False, "failed": "sigma euler intertwining"}
-    if equivariant.euler_char(spread) != qz.rho(n, base_euler):
+    if eq.euler_char(spread) != lib.rho(n, base_euler):
         return {"ok": False, "failed": "verschiebung euler intertwining"}
     return {"ok": True, "n": n, "kmax": kmax}
 
@@ -333,16 +268,16 @@ _FLAGS = {
 # and returns the JSON object to print.
 COMMANDS = {
     "qz": ("group ring of Q/Z", {
-        "sigma": (("n",), ("elem",), _qz_sigma),
-        "rho": (("n",), ("elem",), _qz_rho),
+        "sigma": (("n",), ("elem",), _by_n("sigma", "QZElement")),
+        "rho": (("n",), ("elem",), _by_n("rho", "QZElement")),
         "mul": ((), ("a", "b"), _qz_mul),
         "split": (("primes",), ("elem",), _qz_split),
     }),
     "witt": ("big Witt vectors", {
-        "add": ((), ("a", "b"), _witt_add),
-        "mul": ((), ("a", "b"), _witt_mul),
-        "frobenius": (("n",), ("witt",), _witt_frobenius),
-        "verschiebung": (("n",), ("witt",), _witt_verschiebung),
+        "add": ((), ("a", "b"), _apply("witt_add", "WittVector")),
+        "mul": ((), ("a", "b"), _apply("witt_mul", "WittVector")),
+        "frobenius": (("n",), ("witt",), _by_n("frobenius", "WittVector")),
+        "verschiebung": (("n",), ("witt",), _by_n("verschiebung", "WittVector")),
         "ghost": ((), ("witt",), _witt_ghost),
     }),
     "class": ("torified Grothendieck classes", {
@@ -359,18 +294,18 @@ COMMANDS = {
         "quotient-check": (("k", "q", "trunc"), (), _zeta_quotient_check),
     }),
     "endo": ("endomorphism-category classes", {
-        "lmap": ((), ("matrix",), _endo_lmap),
-        "frobenius": (("n",), ("matrix",), _endo_frobenius),
-        "verschiebung": (("n",), ("matrix",), _endo_verschiebung),
+        "lmap": ((), ("matrix",), _apply("l_map", "EndoObject")),
+        "frobenius": (("n",), ("matrix",), _by_n("endo_frobenius", "EndoObject")),
+        "verschiebung": (("n",), ("matrix",), _by_n("endo_verschiebung", "EndoObject")),
         "delta": ((), ("plus", "minus"), _endo_delta),
         "phimu": ((), ("rational",), _endo_phimu),
     }),
     "euler": ("Euler characteristics", {
-        "spectral": ((), ("matrix",), _euler_spectral),
+        "spectral": ((), ("matrix",), _apply("spectral_euler", "ToralMap")),
     }),
     "equivariant": ("finite cyclic-action model", {
-        "sigma": (("n",), ("action",), _equivariant_sigma),
-        "rho": (("n",), ("action",), _equivariant_rho),
+        "sigma": (("n",), ("action",), _equivariant_by_n("sigma_action", "bc_sigma")),
+        "rho": (("n",), ("action",), _equivariant_by_n("verschiebung_action", "bc_rho")),
         "periodic": (("k",), ("action",), _equivariant_periodic),
         "euler": ((), ("action",), _equivariant_euler),
         "check": (("n", "kmax"), ("action",), _equivariant_check),

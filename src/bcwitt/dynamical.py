@@ -38,7 +38,7 @@ import math
 from collections import Counter
 from typing import TYPE_CHECKING, Literal, Sequence
 
-from .arith import cyclotomic_factor, divisors, factorize, moebius, totient
+from .arith import cyclotomic_factor, factorize
 from .errors import DegenerateIterate, _json_list
 from . import linalg
 from .linalg import Matrix
@@ -111,30 +111,32 @@ class LefschetzZeta(Record):
         return {"exponents": {str(d): s for d, s in self.exponents}}
 
 
-def _cyclotomic_at_one(r: int) -> int:
-    """Phi_r(1): p when r = p^a, 0 when r = 1, 1 otherwise."""
-    if r == 1:
-        return 0
-    primes = factorize(r)
-    return next(iter(primes)) if len(primes) == 1 else 1
-
-
 def lefschetz_zeta_closed(f: ToralMap) -> LefschetzZeta:
     """Exact closed form for a quasi-unipotent toral map."""
     indices = cyclotomic_factor(linalg.charpoly(f.matrix))
     if not indices:
         return LefschetzZeta.of({})
-    m = math.lcm(*indices)
+    # Every divisor r of m = lcm(m_i), built from the one factorization of m,
+    # with phi(r), mu(r) and Phi_r(1); each reduced index m_i/(k, m_i) is one.
+    phi, mu, at_one = {1: 1}, {1: 1}, {1: 0}
+    for p, e in factorize(math.lcm(*indices)).items():
+        for r in list(phi):
+            q = r
+            for a in range(1, e + 1):
+                q *= p
+                phi[q] = phi[r] * (p - 1) * p ** (a - 1)
+                mu[q] = -mu[r] if a == 1 else 0
+                at_one[q] = p if r == 1 else 1
     f_k = {}
-    for k in divisors(m):
+    for k in phi:
         acc = 1
         for mi in indices:
             reduced = mi // math.gcd(k, mi)
-            acc *= _cyclotomic_at_one(reduced) ** (totient(mi) // totient(reduced))
+            acc *= at_one[reduced] ** (phi[mi] // phi[reduced])
         f_k[k] = acc
     exponents = {}
-    for d in divisors(m):
-        total = sum(f_k[k] * moebius(d // k) for k in divisors(d))
+    for d in phi:
+        total = sum(f_k[k] * mu[d // k] for k in phi if d % k == 0)
         if total % d:
             raise ArithmeticError(f"closed-form exponent {total}/{d} is not an integer")
         exponents[d] = total // d

@@ -191,13 +191,6 @@ class SplitQZElement(Record):
         }
 
 
-def _canon_split(acc: Mapping[tuple[Fraction, Fraction], int]):
-    items = [(k, c) for k, c in acc.items() if c != 0]
-    items.sort(key=lambda kc: (
-        kc[0][0].denominator, kc[0][0].numerator, kc[0][1].denominator, kc[0][1].numerator))
-    return tuple(items)
-
-
 def split(primes: Iterable[int], a: QZElement) -> SplitQZElement:
     """Decompose each e(r) as e(r_F) (x) e(r^F) by CRT on the denominator."""
     from .arith import factorize
@@ -207,20 +200,18 @@ def split(primes: Iterable[int], a: QZElement) -> SplitQZElement:
         raise ValueError("split needs a nonempty set of primes")
     if not all(p >= 2 and factorize(p) == {p: 1} for p in fset):
         raise ValueError("split needs a set of primes")
-    acc: dict[tuple[Fraction, Fraction], int] = {}
+    # Keys (den_F, num_F, den_cop, num_cop): r = num_F/den_F + num_cop/den_cop
+    # (mod 1) by CRT, and their order is the canonical one.  A trivial leg
+    # gets den 1 and num 0, since pow(b, -1, 1) == 0.
+    acc: dict[tuple[int, int, int, int], int] = {}
     for r, c in a.terms:
         b_smooth, b_cop = _smooth_coprime_parts(r.denominator, fset)
-        # r = x/b_smooth + y/b_cop (mod 1) with the CRT solution below.
-        if b_smooth == 1:
-            key = (Fraction(0), r)
-        elif b_cop == 1:
-            key = (r, Fraction(0))
-        else:
-            x = (r.numerator * pow(b_cop, -1, b_smooth)) % b_smooth
-            y = (r.numerator * pow(b_smooth, -1, b_cop)) % b_cop
-            key = (Fraction(x, b_smooth), Fraction(y, b_cop))
+        key = (b_smooth, r.numerator * pow(b_cop, -1, b_smooth) % b_smooth,
+               b_cop, r.numerator * pow(b_smooth, -1, b_cop) % b_cop)
         acc[key] = acc.get(key, 0) + c
-    return SplitQZElement(fset, _canon_split(acc))
+    return SplitQZElement(fset, tuple(
+        ((Fraction(x, b_smooth), Fraction(y, b_cop)), c)
+        for (b_smooth, x, b_cop, y), c in sorted(acc.items()) if c))
 
 
 def unsplit(s: SplitQZElement) -> QZElement:

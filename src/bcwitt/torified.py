@@ -101,12 +101,6 @@ class LClass(Record):
         """Ascending integer-exponent coefficients c_0 + c_1 L + ..."""
         return LClass.from_doubled({2 * k: int(c) for k, c in enumerate(coeffs)})
 
-    def coeff2(self, k2: int) -> int:
-        for k, c in self.c2:
-            if k == k2:
-                return c
-        return 0
-
     def has_half_twist(self) -> bool:
         return any(k % 2 for k, _ in self.c2)
 

@@ -5,11 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from bcwitt.arith import Polynomial, cyclotomic, cyclotomic_factor, totient
+from bcwitt.arith import Polynomial, cyclotomic, cyclotomic_factor, divisors, moebius, totient
 from bcwitt.dynamical import (
     LefschetzZeta,
     ToralMap,
-    _cyclotomic_at_one,
     artin_mazur_series,
     lefschetz_numbers,
     lefschetz_zeta_closed,
@@ -163,9 +162,33 @@ def test_lefschetz_zeta_series():
     assert ghost(lefschetz_zeta_series(ROT, 8)).values == (2, 4, 2, 0, 2, 4, 2, 0)
 
 
-def test_cyclotomic_at_one():
-    for r in range(1, 501):
-        assert _cyclotomic_at_one(r) == cyclotomic(r)(1)
+def _closed_exponents_oracle(indices):
+    """s_d of the closed form term by term, with Phi_r(1) evaluated directly."""
+    m = math.lcm(*indices)
+    f_k = {}
+    for k in divisors(m):
+        reduced = [mi // math.gcd(k, mi) for mi in indices]
+        f_k[k] = math.prod(cyclotomic(r)(1) ** (totient(mi) // totient(r))
+                           for mi, r in zip(indices, reduced))
+    out = {}
+    for d in divisors(m):
+        total = sum(f_k[k] * moebius(d // k) for k in divisors(d))
+        assert total % d == 0
+        if total:
+            out[d] = total // d
+    return out
+
+
+def test_lefschetz_closed_large_indices():
+    """Indices up to 60 and degree up to 24, the toral-spectral shapes: every
+    exponent against the term-by-term oracle, and the expansion against the
+    exponential series."""
+    rng = random.Random(60)
+    for _ in range(40):
+        f, indices = _quasi_unipotent(rng, rng.randint(1, 24))
+        closed = lefschetz_zeta_closed(f)
+        assert dict(closed.exponents) == _closed_exponents_oracle(indices)
+        assert closed.expand(60) == lefschetz_zeta_series(f, 60)
 
 
 def test_lefschetz_zeta_closed_examples():

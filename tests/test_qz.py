@@ -172,6 +172,29 @@ def _unsplit_oracle(terms):
     return _canon_oracle(acc)
 
 
+def _split_oracle(fset, terms):
+    """Fraction-keyed split: each leg a Fraction, sorted on (den, num) of
+    the smooth leg, then of the coprime leg."""
+    acc = {}
+    for r, c in terms:
+        smooth, cop = 1, r.denominator
+        for p in fset:
+            while cop % p == 0:
+                smooth, cop = smooth * p, cop // p
+        if smooth == 1:
+            key = (Fraction(0), r)
+        elif cop == 1:
+            key = (r, Fraction(0))
+        else:
+            key = (Fraction(r.numerator * pow(cop, -1, smooth) % smooth, smooth),
+                   Fraction(r.numerator * pow(smooth, -1, cop) % cop, cop))
+        acc[key] = acc.get(key, 0) + c
+    items = [(k, c) for k, c in acc.items() if c]
+    items.sort(key=lambda kc: (kc[0][0].denominator, kc[0][0].numerator,
+                               kc[0][1].denominator, kc[0][1].numerator))
+    return tuple(items)
+
+
 def _euler_char_oracle(action):
     acc = {}
     for orbit in action.orbits():
@@ -233,6 +256,23 @@ def test_ring_maps_match_fraction_keyed_oracle():
     half = e(Fraction(1, 2))
     assert ((e(0) + half) * (e(0) - half)).terms == _mul_oracle(
         (e(0) + half).terms, (e(0) - half).terms) == ()
+
+
+def test_split_matches_fraction_keyed_oracle():
+    rng = random.Random(31)
+    smooth = (1, 2, 3, 4, 6, 9, 12, 5, 7, 35, 11, 2**10, 3**6)
+    for _ in range(200):
+        items = _raw_terms(rng)
+        for _ in range(rng.randint(0, 4)):
+            den = rng.choice(smooth)
+            den *= rng.randint(1, 10**6 // den)
+            items.append((Fraction(rng.randint(0, den - 1), den), rng.randint(-3, 3)))
+        a = QZElement.from_terms(items)
+        for fset in ({2}, {3}, {2, 3}, {5, 7}, {2, 3, 5, 7, 11}):
+            got = split(fset, a).terms
+            assert [(type(rf), rf, type(rc), rc, type(c), c) for (rf, rc), c in got] == [
+                (type(rf), rf, type(rc), rc, type(c), c)
+                for (rf, rc), c in _split_oracle(fset, a.terms)]
 
 
 def test_euler_char_matches_fraction_keyed_oracle():
