@@ -5,6 +5,10 @@ permutation whose N-th power is the identity, N being the stored level (a
 profinite action factoring through Z/NZ).  A relative object adds an
 equivariant map to a base action at the same level.
 
+The model of an action is its list of orbits (the cycles of the
+generator), each of length dividing the level; the k-th power of the
+generator rotates each orbit by k mod its length.
+
 The two Bost-Connes operations act as follows:
 
 * sigma: replace the generator by its n-th power (precompose the action),
@@ -14,8 +18,9 @@ The two Bost-Connes operations act as follows:
   so the n-th power of the new generator is the old one times identity.
 
 Periodic points of period k are the fixed points of the k-th power of the
-generator, and satisfy the reindexing identities tested exhaustively in
-the suite: precomposition turns k-periodicity into nk-periodicity, and the
+generator, that is the union of the orbits whose length divides k.  They
+satisfy the reindexing identities tested exhaustively in the suite:
+precomposition turns k-periodicity into nk-periodicity, and the
 Verschiebung has k-periodic points only for n | k, namely n stacked copies
 of the (k/n)-periodic points.
 
@@ -48,10 +53,10 @@ class CyclicAction(Record):
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be >= 1")
-        size = len(self.perm)
-        if sorted(self.perm) != list(range(size)):
+        if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("perm must be a permutation of 0..size-1")
-        if self.power(self.level) != tuple(range(size)):
+        # Checked second: orbits() only ends on a permutation.
+        if any(self.level % len(orbit) for orbit in self.orbits()):
             raise ValueError(f"generator must have order dividing the level {self.level}")
 
     @property
@@ -72,16 +77,14 @@ class CyclicAction(Record):
         return CyclicAction(level or n, tuple((i + 1) % n for i in range(n)))
 
     def power(self, k: int) -> tuple[int, ...]:
-        """The permutation perm^k."""
+        """The permutation perm^k: each orbit rotated by k mod its length."""
         if k < 0:
             raise ValueError("negative power of a generator")
-        out = list(range(self.size))
-        base = list(self.perm)
-        while k:
-            if k & 1:
-                out = [base[i] for i in out]
-            base = [base[i] for i in base]
-            k >>= 1
+        out = [0] * self.size
+        for orbit in self.orbits():
+            r = k % len(orbit)
+            for s, t in zip(orbit, orbit[r:] + orbit[:r]):
+                out[s] = t
         return tuple(out)
 
     def orbits(self) -> list[tuple[int, ...]]:
@@ -170,27 +173,20 @@ def sigma_action(n: int, a: CyclicAction) -> CyclicAction:
 
 def verschiebung_action(n: int, a: CyclicAction) -> CyclicAction:
     """Spread over n copies at level n*level; copy j of point s has index
-    j*size + s.  The generator advances the copy index and applies the old
-    generator on wraparound, so its n-th power is perm x id."""
+    j*size + s.  The generator advances the copy index (index + size) and
+    sends the last copy through the old generator, so its n-th power is
+    perm x id."""
     if n < 1:
         raise ValueError("verschiebung_action needs n >= 1")
-    size = a.size
-    perm = [0] * (n * size)
-    for j in range(n):
-        for s in range(size):
-            if j < n - 1:
-                perm[j * size + s] = (j + 1) * size + s
-            else:
-                perm[j * size + s] = a.perm[s]
-    return CyclicAction(a.level * n, tuple(perm))
+    return CyclicAction(a.level * n, tuple(range(a.size, n * a.size)) + a.perm)
 
 
 def periodic_points(a: CyclicAction, k: int) -> frozenset[int]:
-    """Fixed points of the k-th power of the generator."""
+    """Fixed points of the k-th power of the generator: the union of the
+    orbits whose length divides k."""
     if k < 1:
         raise ValueError("periodic_points needs k >= 1")
-    power = a.power(k)
-    return frozenset(s for s in range(a.size) if power[s] == s)
+    return frozenset(s for orbit in a.orbits() if not k % len(orbit) for s in orbit)
 
 
 def bc_sigma(n: int, x: RelativeObject) -> RelativeObject:
@@ -198,13 +194,8 @@ def bc_sigma(n: int, x: RelativeObject) -> RelativeObject:
 
 
 def bc_rho(n: int, x: RelativeObject) -> RelativeObject:
-    total = verschiebung_action(n, x.total)
-    base = verschiebung_action(n, x.base)
-    fib = [0] * total.size
-    for j in range(n):
-        for s in range(x.total.size):
-            fib[j * x.total.size + s] = j * x.base.size + x.fibration[s]
-    return RelativeObject.of(total, base, fib)
+    return RelativeObject.of(verschiebung_action(n, x.total), verschiebung_action(n, x.base),
+                             [j * x.base.size + b for j in range(n) for b in x.fibration])
 
 
 def euler_char(a: CyclicAction) -> QZElement:

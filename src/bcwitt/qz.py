@@ -5,10 +5,15 @@ integer coefficients.  The ring product convolves exponents:
 e(r) * e(s) = e(r + s mod 1).
 
 Inside this module a point num/den of Q/Z is the int key (den, num) in
-lowest terms with 0 <= num < den, reduced by one gcd; sums collect on
-those keys, and sorting them gives the canonical (denominator, numerator)
-order.  Fractions appear only in ``QZElement.terms``: one Fraction(num, den)
-per distinct point of a result, built from the sorted keys.
+lowest terms with 0 <= num < den, reduced by one gcd, and sorting the keys
+gives the canonical (denominator, numerator) order.  Fractions appear only
+in ``QZElement.terms``: one Fraction(num, den) per distinct point of a
+result, built from the sorted keys.
+
+Maps that can send two points to one (``from_terms``, ``sigma``, ``+``,
+``*``, ``unsplit``) sum coefficients on the keys.  ``rho`` and ``split``
+only sort: distinct points have disjoint sets of preimages under n, and
+the CRT split is a bijection, so no two keys of their outputs coincide.
 
 The semigroup maps implemented here are
 
@@ -48,9 +53,9 @@ def _point(num: int, den: int) -> tuple[int, int]:
     return den, num // g % den
 
 
-def _element(acc: Mapping[tuple[int, int], int]) -> "QZElement":
-    """The canonical element of a map from point keys to coefficients."""
-    return QZElement(tuple((Fraction(num, den), c) for (den, num), c in sorted(acc.items()) if c))
+def _element(pairs: Iterable[tuple[tuple[int, int], int]]) -> "QZElement":
+    """The canonical element of (key, coefficient) pairs with distinct keys."""
+    return QZElement(tuple((Fraction(num, den), c) for (den, num), c in sorted(pairs) if c))
 
 
 def _primitive_points(orders: Mapping[int, int]) -> "QZElement":
@@ -72,7 +77,7 @@ class QZElement(Record):
         for r, c in items:
             key = _point(r.numerator, r.denominator)
             acc[key] = acc.get(key, 0) + c
-        return _element(acc)
+        return _element(acc.items())
 
     @staticmethod
     def zero() -> "QZElement":
@@ -99,7 +104,7 @@ class QZElement(Record):
         for r, c in other.terms:
             key = r.denominator, r.numerator
             acc[key] = acc.get(key, 0) + c
-        return _element(acc)
+        return _element(acc.items())
 
     def __neg__(self) -> "QZElement":
         return QZElement(tuple((r, -c) for r, c in self.terms))
@@ -109,7 +114,7 @@ class QZElement(Record):
 
     def __mul__(self, other: "QZElement | int") -> "QZElement":
         if isinstance(other, int):
-            return _element({(r.denominator, r.numerator): c * other for r, c in self.terms})
+            return _element(((r.denominator, r.numerator), c * other) for r, c in self.terms)
         right = [(s.numerator, s.denominator, b) for s, b in other.terms]
         acc: dict[tuple[int, int], int] = {}
         for r, a in self.terms:
@@ -117,7 +122,7 @@ class QZElement(Record):
             for sn, sd, b in right:
                 key = _point(rn * sd + sn * rd, rd * sd)
                 acc[key] = acc.get(key, 0) + a * b
-        return _element(acc)
+        return _element(acc.items())
 
     __rmul__ = __mul__
 
@@ -142,20 +147,15 @@ def sigma(n: int, a: QZElement) -> QZElement:
     for r, c in a.terms:
         key = _point(n * r.numerator, r.denominator)
         acc[key] = acc.get(key, 0) + c
-    return _element(acc)
+    return _element(acc.items())
 
 
 def rho(n: int, a: QZElement) -> QZElement:
     """Additive map e(r) -> sum over the n solutions of n r' = r."""
     if n < 1:
         raise ValueError("rho needs n >= 1")
-    out: dict[tuple[int, int], int] = {}
-    for r, c in a.terms:
-        num, den = r.numerator, r.denominator
-        for j in range(n):
-            key = _point(num + j * den, n * den)
-            out[key] = out.get(key, 0) + c
-    return _element(out)
+    return _element([(_point(r.numerator + j * r.denominator, n * r.denominator), c)
+                     for r, c in a.terms for j in range(n)])
 
 
 def pi_n_times_n(n: int) -> QZElement:
@@ -165,14 +165,17 @@ def pi_n_times_n(n: int) -> QZElement:
     return QZElement.from_terms({Fraction(j, n): 1 for j in range(n)})
 
 
-def _smooth_coprime_parts(den: int, primes: frozenset[int]) -> tuple[int, int]:
-    smooth = 1
-    rest = den
+def _split_key(r: Fraction, primes: frozenset[int]) -> tuple[int, int, int, int]:
+    """The key (den_F, num_F, den_cop, num_cop) of r = num_F/den_F +
+    num_cop/den_cop (mod 1) by CRT; keys sort in the canonical order.  A
+    trivial leg gets den 1 and num 0, since pow(b, -1, 1) == 0."""
+    smooth, rest = 1, r.denominator
     for p in primes:
         while rest % p == 0:
             smooth *= p
             rest //= p
-    return smooth, rest
+    return (smooth, r.numerator * pow(rest, -1, smooth) % smooth,
+            rest, r.numerator * pow(smooth, -1, rest) % rest)
 
 
 class SplitQZElement(Record):
@@ -200,18 +203,9 @@ def split(primes: Iterable[int], a: QZElement) -> SplitQZElement:
         raise ValueError("split needs a nonempty set of primes")
     if not all(p >= 2 and factorize(p) == {p: 1} for p in fset):
         raise ValueError("split needs a set of primes")
-    # Keys (den_F, num_F, den_cop, num_cop): r = num_F/den_F + num_cop/den_cop
-    # (mod 1) by CRT, and their order is the canonical one.  A trivial leg
-    # gets den 1 and num 0, since pow(b, -1, 1) == 0.
-    acc: dict[tuple[int, int, int, int], int] = {}
-    for r, c in a.terms:
-        b_smooth, b_cop = _smooth_coprime_parts(r.denominator, fset)
-        key = (b_smooth, r.numerator * pow(b_cop, -1, b_smooth) % b_smooth,
-               b_cop, r.numerator * pow(b_smooth, -1, b_cop) % b_cop)
-        acc[key] = acc.get(key, 0) + c
     return SplitQZElement(fset, tuple(
         ((Fraction(x, b_smooth), Fraction(y, b_cop)), c)
-        for (b_smooth, x, b_cop, y), c in sorted(acc.items()) if c))
+        for (b_smooth, x, b_cop, y), c in sorted((_split_key(r, fset), c) for r, c in a.terms)))
 
 
 def unsplit(s: SplitQZElement) -> QZElement:
@@ -221,4 +215,4 @@ def unsplit(s: SplitQZElement) -> QZElement:
         key = _point(rf.numerator * rc.denominator + rc.numerator * rf.denominator,
                      rf.denominator * rc.denominator)
         acc[key] = acc.get(key, 0) + c
-    return _element(acc)
+    return _element(acc.items())

@@ -301,15 +301,14 @@ class RationalWitt(Record):
     den: Polynomial
 
     @staticmethod
-    def of(num: Polynomial | Sequence[Scalar], den: Polynomial | Sequence[Scalar] = (1,),
-           reduce: bool = True) -> "RationalWitt":
-        """Build num/den, cancelling the gcd unless the caller constructed
-        the two sides coprime already (reduce=False)."""
+    def of(num: Polynomial | Sequence[Scalar],
+           den: Polynomial | Sequence[Scalar] = (1,)) -> "RationalWitt":
+        """Build num/den, cancelling the gcd."""
         num = num if isinstance(num, Polynomial) else Polynomial(num)
         den = den if isinstance(den, Polynomial) else Polynomial(den)
         if num.is_zero() or den.is_zero() or num[0] != 1 or den[0] != 1:
             raise NotDivisible("rational Witt vectors need constant terms exactly 1")
-        if reduce and num.degree > 0 and den.degree > 0:
+        if num.degree > 0 and den.degree > 0:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 g = g * Fraction(1, Fraction(g[0]))  # normalize g(0) = 1

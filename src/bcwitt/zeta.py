@@ -113,8 +113,8 @@ def hw_zeta(c: TorifiedClass, q: QParam, trunc: int = 12,
             den = den * factor
         elif ej < 0:
             num = num * factor
-    # The two sides collect disjoint sets of linear factors.
-    return HWZeta(c, q, g, RationalWitt.of(num, den, reduce=False))
+    # Coprime already: the sides collect disjoint linear factors (q >= 2).
+    return HWZeta(c, q, g, RationalWitt(num, den))
 
 
 def z0(k: int, q: QParam, trunc: int = 12) -> GhostVector:

@@ -1,9 +1,12 @@
+import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from bcwitt.cli import main
 from bcwitt.equivariant import (
     CyclicAction,
     RelativeObject,
@@ -78,11 +81,52 @@ def random_action(rng, max_level=8, max_size=10):
 
 
 def test_action_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^generator must have order dividing the level 2$"):
         CyclicAction.of(2, [1, 2, 0])  # 3-cycle has order 3, not dividing 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^perm must be a permutation of 0\.\.size-1$"):
         CyclicAction.of(3, [0, 0, 1])
+    # Rejected before its orbits are walked: from 0 the walk never returns.
+    with pytest.raises(ValueError, match=r"^perm must be a permutation"):
+        CyclicAction.of(3, [1, 1, 0])
     CyclicAction.of(6, [1, 2, 0])
+
+
+def binary_power(a: CyclicAction, k: int) -> tuple[int, ...]:
+    """perm^k by binary powering of the permutation: the reference for the
+    orbit rotation of CyclicAction.power."""
+    out = list(range(a.size))
+    base = list(a.perm)
+    while k:
+        if k & 1:
+            out = [base[i] for i in out]
+        base = [base[i] for i in base]
+        k >>= 1
+    return tuple(out)
+
+
+def test_power_and_periodic_points_match_binary_powering():
+    rng = random.Random(137)
+    for _ in range(60):
+        a = random_action(rng, 12, 16)
+        huge = [10**40 + rng.randrange(2 * a.level) for _ in range(4)]
+        for k in [*range(3 * a.level + 1), *huge]:
+            want = binary_power(a, k)
+            assert a.power(k) == want
+            if k:
+                assert periodic_points(a, k) == frozenset(
+                    s for s in range(a.size) if want[s] == s)
+
+
+def test_periodic_points_at_a_huge_level_stay_fast(capsys):
+    # A 20000-point involution at a level of 4001 digits: the orbit model
+    # reads k mod 2 per orbit, where binary powering took 13000 squarings.
+    level = 10**4000
+    action = json.dumps({"level": level, "perm": [s ^ 1 for s in range(20000)]})
+    start = time.perf_counter()
+    code = main(["equivariant", "periodic", "--k", str(level + 1), "--action", action])
+    elapsed = time.perf_counter() - start
+    assert (code, capsys.readouterr().out) == (0, '{"points":[]}\n')
+    assert elapsed < 2.0
 
 
 def test_sigma_action():

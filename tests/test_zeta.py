@@ -73,6 +73,15 @@ def test_hw_ghosts_match_rational_series():
             assert ghost(hw.rational.expand(15)) == hw.ghost
 
 
+def test_hw_rational_is_reduced():
+    # hw_zeta builds num/den without a gcd; reducing them changes nothing.
+    rng = random.Random(79)
+    for q in (2, 3, 4):
+        for _ in range(10):
+            z = hw_zeta(random_class(rng, degree=4, bound=3), q, trunc=4).rational
+            assert z == RationalWitt.of(z.num, z.den)
+
+
 def test_hw_symbolic():
     hw = hw_zeta(TorifiedClass.of([2, 1]), "q", trunc=3)
     qpoly = Polynomial([0, 1])
