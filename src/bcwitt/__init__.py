@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arith": ("Polynomial", "cyclotomic", "cyclotomic_factor", "moebius", "stirling2",
               "totient"),
-    "errors": ("DegenerateIterate", "DomainError", "HalfTwistPresent", "NotDivisible",
-               "NotEffectivelyTorified", "NotQuasiUnipotent", "NotSplit",
+    "errors": ("DegenerateIterate", "DomainError", "HalfTwistPresent", "LimitExceeded",
+               "NotDivisible", "NotEffectivelyTorified", "NotQuasiUnipotent", "NotSplit",
                "TruncationTooSmall"),
     "qz": ("QZElement", "SplitQZElement", "pi_n_times_n", "rho", "sigma", "split", "unsplit"),
     "witt": ("GhostVector", "RationalWitt", "WittVector", "frobenius", "ghost", "ghost_divide",

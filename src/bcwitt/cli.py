@@ -3,9 +3,11 @@
 Output is deterministic: payloads are built in canonical field order and
 printed compactly, numbers that can exceed native precision travel as
 strings, and domain failures exit 1 with ``{"error": {"kind", "detail"}}``
-on stdout.  Malformed invocations and payloads exit 2 with a message on
-stderr, matching argparse's own convention; payload numbers must be JSON
-integers or strings, so floats and booleans are malformed.
+on stdout.  An output number longer than Python will print
+(``sys.get_int_max_str_digits()``) is the domain failure LimitExceeded.
+Malformed invocations and payloads exit 2 with a message on stderr,
+matching argparse's own convention; payload numbers must be JSON integers
+or strings, so floats and booleans are malformed.
 
 Every subcommand is declared once, in ``COMMANDS``: its plain flags, its
 JSON payload flags and its handler.  Any payload flag accepts ``@FILE`` to
@@ -28,7 +30,7 @@ import sys
 from fractions import Fraction
 
 import bcwitt as lib
-from .errors import DomainError
+from .errors import DomainError, LimitExceeded
 
 DEFAULT_TRUNC = 12
 
@@ -58,17 +60,24 @@ def _decode(text: str, source: str) -> dict | list:
         raise UsageError(f"invalid JSON for {source}: {exc}")
     except RecursionError:
         raise UsageError(f"JSON for {source} is nested too deeply")
-    stack = [data]
-    while stack:
-        x = stack.pop()
+    for x in _leaves(data):
         if isinstance(x, (bool, float)):
             raise UsageError(f"{source} holds {json.dumps(x)}; "
                              "numbers must be JSON integers or strings")
+    return data
+
+
+def _leaves(data):
+    """The values in a JSON tree that are neither objects nor lists."""
+    stack = [data]
+    while stack:
+        x = stack.pop()
         if isinstance(x, dict):
             stack.extend(x.values())
-        elif isinstance(x, list):
+        elif isinstance(x, (list, tuple)):
             stack.extend(x)
-    return data
+        else:
+            yield x
 
 
 def _load_payload(raw: str | None, name: str, inputs: dict) -> dict | list:
@@ -82,8 +91,29 @@ def _load_payload(raw: str | None, name: str, inputs: dict) -> dict | list:
     return _decode(raw, f"--{name}")
 
 
+def _digits(n: int) -> int:
+    """The decimal digits of |n|, counted without printing n."""
+    n = abs(n)
+    d = max(1, int(n.bit_length() * 0.30103))
+    while d > 1 and 10 ** (d - 1) > n:
+        d -= 1
+    while 10**d <= n:
+        d += 1
+    return d
+
+
+def _too_long(numbers) -> LimitExceeded:
+    """The error for output ints past Python's int -> str digit limit."""
+    return LimitExceeded("decimal digits of an output number",
+                         sys.get_int_max_str_digits(), max(map(_digits, numbers)))
+
+
 def _numstr(x) -> str:
-    return str(Fraction(x))
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        raise _too_long((x.numerator, x.denominator)) from None
 
 
 def _ghost_json(g) -> list:
@@ -169,7 +199,7 @@ def _class_convert(args, data: dict) -> dict:
 
 
 def _class_points(args, cls: dict) -> dict:
-    return {"count": str(lib.f1m_points(_parse_class(cls), args.m))}
+    return {"count": _numstr(lib.f1m_points(_parse_class(cls), args.m))}
 
 
 def _class_bb(args, pieces: list) -> dict:
@@ -354,7 +384,12 @@ def run(argv: list[str]) -> int:
     if "trunc" in flags and args.trunc is None:
         args.trunc = _default_trunc()
     data = [_load_payload(getattr(args, name), name, inputs) for name in payloads]
-    print(json.dumps(handler(args, *data), separators=(",", ":")))
+    out = handler(args, *data)
+    try:
+        text = json.dumps(out, separators=(",", ":"))
+    except ValueError:
+        raise _too_long(x for x in _leaves(out) if type(x) is int) from None
+    print(text)
     return 0
 
 

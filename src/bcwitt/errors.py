@@ -60,3 +60,13 @@ class DegenerateIterate(DomainError):
     def __init__(self, n: int):
         super().__init__(f"iterate {n} has det(I - M^{n}) = 0; fixed points are not isolated")
         self.n = n
+
+
+class LimitExceeded(DomainError):
+    """A value passes a fixed limit, such as the decimal digits Python will
+    print of an int (``sys.get_int_max_str_digits()``)."""
+
+    def __init__(self, what: str, limit: int, value: int):
+        super().__init__(f"{what}: {value} exceeds the limit {limit}")
+        self.limit = limit
+        self.value = value

@@ -1,22 +1,23 @@
 """Small exact matrix helpers over Z and Q.
 
 Matrices are tuples of row tuples with int/Fraction entries.  The one
-spectral kernel is ``char_series``, det(1 - t M), computed in modular
-integer arithmetic and lifted back exactly; the rest are the products,
-powers and block constructions the other modules and tests build matrices
-with.  ``det`` is plain Gaussian elimination over Fraction; only the tests
-call it.
+spectral kernel is ``char_series``, det(1 - t M), computed modulo one prime
+from a table sized to CPython's 30-bit int digits and lifted back exactly;
+the rest are the products, powers and block constructions the other modules
+and tests build matrices with.  ``det`` is plain Gaussian elimination over
+Fraction; only the tests call it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import mul
+from itertools import chain, repeat
+from operator import add, itemgetter, mul
 from typing import Sequence, Union
 
-from .arith import Polynomial, _unclear
+from .arith import Polynomial, _norm_coeff, _unclear
 
 Entry = Union[int, Fraction]
 Matrix = tuple[tuple[Entry, ...], ...]
@@ -30,6 +31,17 @@ _MERSENNE_EXPONENTS = (
     6972593, 13466917, 20996011, 24036583, 25964951, 30402457, 32582657,
     37156667, 42643801, 43112609, 57885161, 74207281, 77232917, 82589933,
     136279841)
+
+# Proth primes p = k 2^e + 1 (k odd, k < 2^e) as (k, e, a): the largest below
+# 2^15 and, with k < 2^16, below each 2^(30 j), j = 1..18.  Proth's theorem:
+# a^((p - 1)/2) = -1 mod p proves p prime.
+_PROTH = ((63, 9, 5), (32765, 15, 3), (65487, 44, 5), (32765, 75, 3), (32763, 105, 5),
+          (16381, 136, 3), (65523, 164, 7), (32747, 195, 3), (16339, 226, 3), (16381, 256, 3),
+          (65503, 284, 3), (4095, 318, 11), (65467, 344, 3), (65499, 374, 5), (65391, 404, 5),
+          (32711, 435, 3), (65527, 464, 3), (65505, 494, 13), (65515, 524, 3))
+# Ascending: 2^e - 1 for the exponents e <= 13, then the Proth primes.
+_PRIMES = (*((1 << e) - 1 for e in _MERSENNE_EXPONENTS[:5]), *((k << e) + 1 for k, e, _ in _PROTH))
+_SQUARES = tuple(p * p for p in _PRIMES)
 
 
 def as_matrix(rows: Sequence[Sequence[Entry]]) -> Matrix:
@@ -45,21 +57,41 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    """a b.  When at most a quarter of a's entries are nonzero, each row of
+    the product is the sum of the rows of b that the row's nonzeros pick
+    (an entry nothing picks is then the int 0, even beside Fractions)."""
+    size = len(a) * len(b)
+    if 4 * (size - sum(row.count(0) for row in a)) > size:
+        cols = list(zip(*b))
+        return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    zero = (0,) * len(b[0]) if b else ()
+    out = []
+    for row in a:
+        acc = zero
+        for x, brow in zip(row, b):
+            if x:
+                acc = tuple(map(add, acc, map(mul, repeat(x), brow)))
+        out.append(acc)
+    return tuple(out)
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:
+    """a^e by binary powering from a, high bit first: one squaring per bit
+    after the first and one product by a per further 1 bit, so a^2 costs
+    one product and a^3 two.  a is the left factor of the latter, where
+    mat_mul can skip its zeros.  Integral entries come out as ints."""
     if e < 0:
         raise ValueError("negative matrix power")
-    result = identity(len(a))
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return result
+    if not e:
+        return identity(len(a))
+    result = a
+    for bit in bin(e)[3:]:
+        result = mat_mul(result, result)
+        if bit == "1":
+            result = mat_mul(a, result)
+    if set(map(type, chain.from_iterable(result))) <= {int}:
+        return result
+    return tuple(tuple(map(_norm_coeff, row)) for row in result)
 
 
 def det(a: Matrix) -> Entry:
@@ -86,15 +118,18 @@ def det(a: Matrix) -> Entry:
     return int(value) if value.denominator == 1 else value
 
 
-def _mersenne_prime_above(square: int) -> int:
-    """Smallest tabled Mersenne prime p with p^2 > square."""
+def _prime_above(square: int) -> int:
+    """Smallest tabled prime p with p^2 > square."""
+    i = bisect_right(_SQUARES, square)
+    if i < len(_PRIMES):
+        return _PRIMES[i]
     # (2^e - 1)^2 < 2^(2e), so exponents below half the bit length cannot do.
     start = bisect_left(_MERSENNE_EXPONENTS, square.bit_length() // 2)
     for e in _MERSENNE_EXPONENTS[start:]:
         p = (1 << e) - 1
         if p * p > square:
             return p
-    raise ValueError("characteristic series bound exceeds the largest tabled Mersenne prime")
+    raise ValueError("characteristic series bound exceeds the largest tabled prime")
 
 
 def char_series(m: Matrix) -> Polynomial:
@@ -104,19 +139,24 @@ def char_series(m: Matrix) -> Polynomial:
     and c_k(M) = c_k(A) / D^k.  Up to sign, c_k(A) is the sum of the
     C(n, k) principal k x k minors of the n x n matrix A, each at most R^k
     by Hadamard's inequality (R the largest Euclidean row norm of A).  So
-    the smallest tabled Mersenne prime p = 2^e - 1 with
-    p > 2 max_k C(n, k) R^k (compared in squares, in ints) determines
-    every c_k(A) from its residue by the symmetric lift; a bound past the
-    table raises ValueError.  A is reduced to upper Hessenberg form H by
-    similarity mod p (Cohen, Alg. 2.2.9), and det(1 - t H) follows from the
-    recurrence along its subdiagonal.
+    the smallest prime p of ``_PRIMES`` (past 2^540, Mersenne prime) with
+    p > 2 max_k C(n, k) R^k (compared in squares, in ints) determines every
+    c_k(A) from its residue by the symmetric lift; a bound past the table
+    raises ValueError.  CPython stores ints in 30-bit digits, so the table
+    has a prime just below each 2^(30 j) (and 2^15, whose products fit one
+    digit): residues take no digit more than the bound needs.  Any prime
+    above the bound gives the same result, so correctness does not rest on
+    ``sys.int_info.bits_per_digit``.  A is reduced to upper Hessenberg form
+    H by similarity mod p (Cohen, Alg. 2.2.9), and det(1 - t H) follows
+    from the recurrence along its subdiagonal.
     """
     n = len(m)
-    den = math.lcm(*(x.denominator for row in m for x in row))
-    a = [[int(x * den) for x in row] for row in m]
-    r2 = max((sum(x * x for x in row) for row in a), default=0)
-    p = _mersenne_prime_above(max(4 * math.comb(n, k) ** 2 * r2**k for k in range(n + 1)))
-    h = [[x % p for x in row] for row in a]
+    integral = set(map(type, chain.from_iterable(m))) <= {int}
+    den = 1 if integral else math.lcm(*(x.denominator for row in m for x in row))
+    a = m if integral else [[int(x * den) for x in row] for row in m]
+    r2 = max((sum(map(mul, row, row)) for row in a), default=0)
+    p = _prime_above(max(4 * math.comb(n, k) ** 2 * r2**k for k in range(n + 1)))
+    h = [list(map(p.__rmod__, row)) for row in a]
     for k in range(1, n - 1):
         # Clear column k - 1 below the subdiagonal with pivot row k.
         piv = next((i for i in range(k, n) if h[i][k - 1]), None)
@@ -126,36 +166,38 @@ def char_series(m: Matrix) -> Polynomial:
             h[k], h[piv] = h[piv], h[k]
             for row in h:
                 row[k], row[piv] = row[piv], row[k]
-        pivot_row = h[k]
-        inv = pow(pivot_row[k - 1], -1, p)
+        tail = h[k][k:]
+        inv = pow(h[k][k - 1], -1, p)
         # The eliminations commute: all row operations use the same pivot
-        # row, and their inverses add to column k together.
-        mults = []
+        # row, and their inverses add sum_i u_i col_i to column k together
+        # (col_k itself leads, with weight 1, so get(row) is a tuple).
+        rows, us = [k], [1]
         for i in range(k + 1, n):
-            u = h[i][k - 1] * inv % p
-            if u:
-                row = h[i]
-                row[k - 1:] = [0] + [(x - u * y) % p for x, y in zip(row[k:], pivot_row[k:])]
-                mults.append((i, u))
-        if mults:
+            row = h[i]
+            if row[k - 1]:
+                u = row[k - 1] * inv % p
+                row[k - 1:] = [0] + [(x - u * y) % p for x, y in zip(row[k:], tail)]
+                rows.append(i)
+                us.append(u)
+        if len(us) > 1:
+            get = itemgetter(*rows)
             for row in h:
-                row[k] = (row[k] + sum(u * row[i] for i, u in mults)) % p
+                row[k] = sum(map(mul, us, get(row))) % p
     # q_j = det(1 - t H_j) for the leading j x j blocks:
     # q_{j+1} = (1 - h_jj t) q_j - sum_i h_ij (h_{i+1,i} ... h_{j,j-1}) t^(j-i+1) q_i.
     qs = [[1]]
     for j in range(n):
         prev, hjj = qs[j], h[j][j]
         new = [x - hjj * y for x, y in zip(prev + [0], [0] + prev)]
-        chain = 1
+        subdiag = 1
         for i in range(j - 1, -1, -1):
-            chain = chain * h[i + 1][i] % p
-            if not chain:
+            subdiag = subdiag * h[i + 1][i] % p
+            if not subdiag:
                 break
-            c = h[i][j] * chain % p
+            c = h[i][j] * subdiag % p
             if c:
                 shift = j - i + 1
-                for s, x in enumerate(qs[i]):
-                    new[s + shift] -= c * x
+                new[shift:] = [y - c * x for y, x in zip(new[shift:], qs[i])]
         qs.append([x % p for x in new])
     half = p >> 1
     lifted = [c - p if c > half else c for c in qs[n]]

@@ -1,8 +1,10 @@
 import json
+import random
+import sys
 
 import pytest
 
-from bcwitt.cli import COMMANDS, _FLAGS, main
+from bcwitt.cli import COMMANDS, _FLAGS, _digits, main
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +195,42 @@ def test_domain_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "class", "convert", "--class", '{"L":{"1/2":1}}')
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "HalfTwistPresent"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints ints of any length")
+def test_output_past_the_digit_limit(capsys):
+    """A valid call whose output holds a number longer than Python will
+    print exits 1 with LimitExceeded: from a numeric string, from a JSON
+    integer, and from a count."""
+    big = "7" * 400
+    elem = '{"terms":[{"r":"1/2","c":%s}]}' % big
+    calls = [
+        (("zeta", "quotient-check", "--k", "1000", "--q", "3", "--trunc", "5"), 1114),
+        (("qz", "mul", "--a", elem, "--b", elem), 800),
+        (("class", "points", "--m", "10", "--class", json.dumps({"T": [0] * 700 + [1]})), 701),
+    ]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv, digits in calls:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (1, "")
+            assert json.loads(out) == {"error": {
+                "kind": "LimitExceeded",
+                "detail": f"decimal digits of an output number: {digits} exceeds the limit 640"}}
+    finally:
+        sys.set_int_max_str_digits(old)
+    for argv, _ in calls:
+        assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_digit_count():
+    rng = random.Random(5)
+    values = [0, 1, 9, 10, 99, 100] + [10**k + d for k in range(1, 400, 37) for d in (-1, 0)]
+    values += [rng.getrandbits(rng.randint(1, 1300)) for _ in range(200)]
+    for n in values:
+        assert _digits(n) == _digits(-n) == len(str(n))
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -4,6 +4,7 @@ The package loads its modules on first use, so a missing import shows only
 in a process that has not loaded everything already, as the other tests do.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -94,6 +95,15 @@ def test_subcommand_in_fresh_process(group, name, capsys):
     done = fresh_python("-m", "bcwitt.cli", *argv)
     assert (done.returncode, done.stdout) == (code, expected), done.stderr
     assert code == 0
+
+
+def test_output_past_the_default_digit_limit():
+    """The ghosts (3^m - 1)^100000 have 30103 digits and more, past the
+    default limit of 4300."""
+    done = fresh_python("-m", "bcwitt.cli", "zeta", "quotient-check",
+                        "--k", "100000", "--q", "3", "--trunc", "5")
+    assert (done.returncode, done.stderr) == (1, "")
+    assert json.loads(done.stdout)["error"]["kind"] == "LimitExceeded"
 
 
 def test_cli_import_loads_no_library_module():

@@ -376,12 +376,10 @@ def test_char_series_matches_sympy():
 
 
 def test_char_series_picks_large_primes():
-    # Entries up to 10^6 at d = 32 need a prime past 2^127 - 1.
+    # Entries up to 10^6 at d = 32 need a prime past the table (2^540).
     rng = random.Random(604)
     m = linalg.as_matrix([[rng.randint(-10**6, 10**6) for _ in range(32)] for _ in range(32)])
-    r2 = max(sum(x * x for x in row) for row in m)
-    square = max(4 * math.comb(32, k) ** 2 * r2**k for k in range(33))
-    assert linalg._mersenne_prime_above(square) > 2**127 - 1
+    assert linalg._prime_above(_bound_square(m)) > linalg._PRIMES[-1] > 2**127 - 1
     assert _same(linalg.char_series(m), power_trace_char_series(m))
 
 
@@ -437,15 +435,128 @@ def test_mersenne_table_is_prime():
     assert not _lucas_lehmer(11) and not _lucas_lehmer(23)
 
 
-def test_mersenne_choice():
-    assert linalg._mersenne_prime_above(0) == 3
-    assert linalg._mersenne_prime_above(8) == 3
-    assert linalg._mersenne_prime_above(9) == 7
-    assert linalg._mersenne_prime_above((2**127 - 1) ** 2 - 1) == 2**127 - 1
-    assert linalg._mersenne_prime_above((2**127 - 1) ** 2) == 2**521 - 1
+def test_prime_table_is_proven():
+    """Each Proth entry (k, e, a) proves p = k 2^e + 1 prime by Proth's
+    theorem, and p lies just below its digit boundary 2^15 or 2^(30 j)."""
+    boundaries = [15] + [30 * j for j in range(1, 19)]
+    assert len(linalg._PROTH) == len(boundaries)
+    for (k, e, a), b in zip(linalg._PROTH, boundaries):
+        p = (k << e) + 1
+        assert k % 2 == 1 and k < 1 << e
+        assert pow(a, (p - 1) // 2, p) == p - 1
+        assert 1 << (b - 1) <= p < 1 << b
+    primes = linalg._PRIMES
+    assert primes[:5] == (3, 7, 31, 127, 8191)
+    assert primes[5:] == tuple((k << e) + 1 for k, e, _ in linalg._PROTH)
+    assert list(primes) == sorted(set(primes))
+
+
+def test_prime_table_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert all(sympy.isprime(p) for p in linalg._PRIMES)
+
+
+def test_prime_choice():
+    """The smallest tabled p with p^2 > square; past 2^540 the Mersenne primes."""
+    primes = linalg._PRIMES
+    assert linalg._prime_above(0) == 3
+    for p, after in zip(primes, primes[1:] + (2**607 - 1,)):
+        assert linalg._prime_above(p * p - 1) == p
+        assert linalg._prime_above(p * p) == after
+    assert linalg._prime_above((2**607 - 1) ** 2) == 2**1279 - 1
     # Past the table; no matrix this large is ever built.
     with pytest.raises(ValueError):
-        linalg._mersenne_prime_above(1 << (2 * linalg._MERSENNE_EXPONENTS[-1] + 1))
+        linalg._prime_above(1 << (2 * linalg._MERSENNE_EXPONENTS[-1] + 1))
+
+
+def _bound_square(m):
+    """char_series's squared bound 4 max_k C(n, k)^2 R^(2k) for an integer matrix."""
+    n, r2 = len(m), max(sum(x * x for x in row) for row in m)
+    return max(4 * math.comb(n, k) ** 2 * r2**k for k in range(n + 1))
+
+
+def _straddling(rng, d, p):
+    """Two d x d integer matrices, equal but for entry (0, 0), whose bounds
+    straddle p^2: the first picks the prime p, the second the next one."""
+    rest = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+
+    def with_corner(x):
+        rows = [row[:] for row in rest]
+        rows[0][0] = x
+        return linalg.as_matrix(rows)
+
+    lo, hi = 0, p
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _bound_square(with_corner(mid)) < p * p:
+            lo = mid
+        else:
+            hi = mid
+    return with_corner(lo), with_corner(hi)
+
+
+def test_char_series_at_prime_boundaries():
+    """Bounds just below and just above the tabled primes near 2^15, 2^30,
+    2^60 and 2^90, on integer matrices and on the same matrices over 7."""
+    rng = random.Random(607)
+    primes = linalg._PRIMES
+    for b in (15, 30, 60, 90):
+        i = next(i for i, p in enumerate(primes) if p.bit_length() == b)
+        for d in (2, 3, 5):
+            below, above = _straddling(rng, d, primes[i])
+            assert linalg._prime_above(_bound_square(below)) == primes[i]
+            assert linalg._prime_above(_bound_square(above)) == primes[i + 1]
+            for m in (below, above):
+                assert _same(linalg.char_series(m), power_trace_char_series(m))
+                if math.lcm(*(Fraction(x, 7).denominator for row in m for x in row)) == 7:
+                    sevenths = linalg.as_matrix([[Fraction(x, 7) for x in row] for row in m])
+                    assert _same(linalg.char_series(sevenths), power_trace_char_series(sevenths))
+
+
+def _dense_mul(a, b):
+    cols = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def _integral_entries_are_ints(m):
+    return all(type(x) is int or x.denominator != 1 for row in m for x in row)
+
+
+def test_mat_pow_matches_repeated_products():
+    """mat_pow and mat_mul against the dense product: equal values; on integer
+    matrices every entry stays an int, and mat_pow gives integral entries
+    as ints also on Fraction input."""
+    rng = random.Random(608)
+
+    def sparse(d):
+        rows = [[0] * d for _ in range(d)]
+        for _ in range(d * d // 4):
+            rows[rng.randrange(d)][rng.randrange(d)] = rng.randint(-3, 3)
+        return rows
+
+    dense = [[[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)] for d in (3, 6)]
+    half = [[[Fraction(rng.randint(-4, 4), 2) for _ in range(4)] for _ in range(4)]]
+    mixed = [[[Fraction(1, 3) if (i + j) % 3 == 0 else rng.randint(-2, 2) for j in range(5)]
+              for i in range(5)]]
+    sparse_rational = [[[Fraction(x, 3) for x in row] for row in sparse(6)]]
+    cases = dense + [sparse(d) for d in (4, 8, 12)] + half + mixed + sparse_rational
+    cases += [[[-2]], [[Fraction(2, 3)]], [[0]], []]
+    for rows in cases:
+        m = linalg.as_matrix(rows)
+        integral = all(type(x) is int for row in m for x in row)
+        expected = linalg.identity(len(m))
+        for e in range(10):
+            power = linalg.mat_pow(m, e)
+            assert power == expected
+            assert _integral_entries_are_ints(power)
+            if integral:
+                assert all(type(x) is int for row in power for x in row)
+                product = linalg.mat_mul(m, expected)
+                assert product == _dense_mul(m, expected)
+                assert all(type(x) is int for row in product for x in row)
+            expected = _dense_mul(expected, m)
+    with pytest.raises(ValueError):
+        linalg.mat_pow(((1,),), -1)
 
 
 def test_not_quasi_unipotent_degree():
