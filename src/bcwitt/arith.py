@@ -125,6 +125,18 @@ def _unclear(bs: Sequence[Coeff], E: int, S: int = 1) -> Sequence[Coeff]:
     return out
 
 
+def _power(x, e: int, mul):
+    """x^e for e >= 1, high bit first: a squaring per bit after the first and
+    a product by x (the left factor, where mul can skip zeros) per further 1
+    bit, so x^2 costs one product and x^3 two."""
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(x, result)
+    return result
+
+
 class Polynomial:
     """Dense univariate polynomial over Z or Q, ascending coefficients."""
 
@@ -196,14 +208,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Polynomial.__mul__) if n else Polynomial([1])
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():

@@ -3,11 +3,13 @@
 Output is deterministic: payloads are built in canonical field order and
 printed compactly, numbers that can exceed native precision travel as
 strings, and domain failures exit 1 with ``{"error": {"kind", "detail"}}``
-on stdout.  An output number longer than Python will print
-(``sys.get_int_max_str_digits()``) is the domain failure LimitExceeded.
-Malformed invocations and payloads exit 2 with a message on stderr,
-matching argparse's own convention; payload numbers must be JSON integers
-or strings, so floats and booleans are malformed.
+on stdout.  Malformed invocations and payloads exit 2 with a message on
+stderr, matching argparse's own convention.  Exact numbers have one parser
+and one printer, ``errors._number`` and ``errors._numstr``, used by every
+library ``from_json``/``to_json`` and the helpers here: a payload number is
+a JSON integer or a string ``-?digits(/digits)?``, and an output number
+longer than Python will print is the domain failure LimitExceeded (for a
+JSON integer, raised at the final ``json.dumps``).
 
 Every subcommand is declared once, in ``COMMANDS``: its plain flags, its
 JSON payload flags and its handler.  Any payload flag accepts ``@FILE`` to
@@ -27,10 +29,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 import bcwitt as lib
-from .errors import DomainError, LimitExceeded
+from .errors import DomainError, _numstr, _too_long
 
 DEFAULT_TRUNC = 12
 
@@ -91,47 +92,18 @@ def _load_payload(raw: str | None, name: str, inputs: dict) -> dict | list:
     return _decode(raw, f"--{name}")
 
 
-def _digits(n: int) -> int:
-    """The decimal digits of |n|, counted without printing n."""
-    n = abs(n)
-    d = max(1, int(n.bit_length() * 0.30103))
-    while d > 1 and 10 ** (d - 1) > n:
-        d -= 1
-    while 10**d <= n:
-        d += 1
-    return d
-
-
-def _too_long(numbers) -> LimitExceeded:
-    """The error for output ints past Python's int -> str digit limit."""
-    return LimitExceeded("decimal digits of an output number",
-                         sys.get_int_max_str_digits(), max(map(_digits, numbers)))
-
-
-def _numstr(x) -> str:
-    x = Fraction(x)
-    try:
-        return str(x)
-    except ValueError:
-        raise _too_long((x.numerator, x.denominator)) from None
-
-
 def _ghost_json(g) -> list:
     poly = lib.Polynomial
     return [[int(c) for c in v.coeffs] if isinstance(v, poly) else _numstr(v) for v in g.values]
 
 
-def _series_json(w) -> list:
-    return [_numstr(c) for c in w.coeffs]
-
-
 def _series_out(series) -> dict:
-    return {"ghost": _ghost_json(lib.ghost(series)), "series": _series_json(series)}
+    return {"ghost": _ghost_json(lib.ghost(series)), "series": series.to_json()["coeffs"]}
 
 
 def _q(text: str):
-    """--q: an integer, or 'q' (also 'sym', 'symbolic') for the symbolic parameter."""
-    return text if text in ("q", "sym", "symbolic") else int(text)
+    """--q: the int of a digit string, else the text, for zeta to accept or reject."""
+    return int(text) if text.isascii() and text.isdigit() else text
 
 
 def _parse_class(data: dict):
@@ -212,14 +184,14 @@ def _class_virtual(args, cls: dict) -> dict:
 
 def _zeta_f1(args, cls: dict) -> dict:
     z = lib.f1_zeta(_parse_class(cls), args.trunc)
-    return {"ghost": _ghost_json(z.ghost), "series": _series_json(z.witt)}
+    return {"ghost": _ghost_json(z.ghost), "series": z.witt.to_json()["coeffs"]}
 
 
 def _zeta_hw(args, cls: dict) -> dict:
     z = lib.hw_zeta(_parse_class(cls), _q(args.q), args.trunc)
     out = {"ghost": _ghost_json(z.ghost)}
     if z.rational is not None:
-        out["series"] = _series_json(z.rational.expand(args.trunc))
+        out["series"] = z.rational.expand(args.trunc).to_json()["coeffs"]
         out["rational"] = z.rational.to_json()
     return out
 

@@ -39,7 +39,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Literal, Sequence
 
 from .arith import cyclotomic_factor, factorize
-from .errors import DegenerateIterate, _json_list
+from .errors import DegenerateIterate, _json_list, _number, _numstr
 from . import linalg
 from .linalg import Matrix
 from .witt import GhostVector, WittVector, _unghost, ghost, unghost, witt_add
@@ -71,7 +71,7 @@ class ToralMap(Record):
     @staticmethod
     def from_json(data: dict) -> "ToralMap":
         rows = _json_list(data["rows"], "rows")
-        return ToralMap.of([_json_list(row, "each row") for row in rows])
+        return ToralMap.of([[_number(x) for x in _json_list(row, "each row")] for row in rows])
 
 
 def lefschetz_numbers(f: ToralMap, trunc: int) -> list[int]:
@@ -108,7 +108,7 @@ class LefschetzZeta(Record):
         return unghost(GhostVector.of(values))
 
     def to_json(self) -> dict:
-        return {"exponents": {str(d): s for d, s in self.exponents}}
+        return {"exponents": {_numstr(d): s for d, s in self.exponents}}
 
 
 def lefschetz_zeta_closed(f: ToralMap) -> LefschetzZeta:

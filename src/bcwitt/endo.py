@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .arith import Polynomial, _primitive_int, divisors
-from .errors import NotSplit, _json_list
+from .errors import NotSplit, _json_list, _number, _numstr
 from . import linalg
 from .linalg import Matrix
 from .witt import RationalWitt
@@ -61,11 +61,11 @@ class EndoObject(Record):
             for i in range(len(vals))))
 
     def to_json(self) -> dict:
-        return {"matrix": [str(Fraction(x)) for row in self.matrix for x in row]}
+        return {"matrix": [_numstr(x) for row in self.matrix for x in row]}
 
     @staticmethod
     def from_json(data: dict) -> "EndoObject":
-        flat = [Fraction(x) for x in _json_list(data["matrix"], "matrix")]
+        flat = [_number(x) for x in _json_list(data["matrix"], "matrix")]
         n = math.isqrt(len(flat))
         if n * n != len(flat):
             raise ValueError("matrix entries must form a square")

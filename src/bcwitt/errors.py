@@ -1,12 +1,17 @@
-"""Domain errors shared across the package.
+"""Domain errors, and the text form of exact numbers at the JSON edge.
 
 Every error that a computation can raise by design (as opposed to a misuse
 of the API) derives from DomainError, so callers such as the CLI can map
 them uniformly to ``{"error": {"kind": ..., "detail": ...}}`` payloads.
-The ``kind`` is the class name.
+The ``kind`` is the class name.  Exact numbers cross JSON here alone:
+payload readers parse them with ``_number`` and writers print them with
+``_numstr``, which raises LimitExceeded past Python's int -> str limit.
 """
 
 from __future__ import annotations
+
+import sys
+from fractions import Fraction
 
 
 def _json_list(x, what: str):
@@ -16,6 +21,46 @@ def _json_list(x, what: str):
     if not isinstance(x, (list, tuple)):
         raise TypeError(f"{what} must be a JSON list")
     return x
+
+
+def _number(x) -> int | Fraction:
+    """A payload number: a JSON integer or an ASCII string -?digits(/digits)?,
+    as an int when integral and a reduced Fraction otherwise.  No exponent is
+    expanded: decimals, exponents, spaces, "+" and "_" are malformed."""
+    if type(x) is int:
+        return x
+    if type(x) is not str:
+        raise TypeError(f"a number must be a JSON integer or string, not {x!r}")
+    num, _, den = x.partition("/")
+    if not (x.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or num == x)):
+        raise ValueError(f"{x!r} is not an integer or a fraction p/q")
+    f = Fraction(int(num), int(den or 1))
+    return f.numerator if f.denominator == 1 else f
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of |n|, counted without printing n."""
+    n = abs(n)
+    d = max(1, int(n.bit_length() * 0.30103))
+    while d > 1 and 10 ** (d - 1) > n:
+        d -= 1
+    while 10**d <= n:
+        d += 1
+    return d
+
+
+def _too_long(numbers) -> LimitExceeded:
+    """The error for output ints past Python's int -> str digit limit."""
+    return LimitExceeded("decimal digits of an output number",
+                         sys.get_int_max_str_digits(), max(map(_digits, numbers)))
+
+
+def _numstr(x) -> str:
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        raise _too_long((x.numerator, x.denominator)) from None
 
 
 class DomainError(Exception):

@@ -37,6 +37,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .errors import _number, _numstr
 from .record import Record
 
 
@@ -132,11 +133,11 @@ class QZElement(Record):
         return "QZElement(" + " + ".join(f"{c}*e({r})" for r, c in self.terms) + ")"
 
     def to_json(self) -> dict:
-        return {"terms": [{"r": str(r), "c": c} for r, c in self.terms]}
+        return {"terms": [{"r": _numstr(r), "c": c} for r, c in self.terms]}
 
     @staticmethod
     def from_json(data: dict) -> "QZElement":
-        return QZElement.from_terms([(Fraction(t["r"]), int(t["c"])) for t in data["terms"]])
+        return QZElement.from_terms([(_number(t["r"]), int(t["c"])) for t in data["terms"]])
 
 
 def sigma(n: int, a: QZElement) -> QZElement:
@@ -188,7 +189,7 @@ class SplitQZElement(Record):
         return {
             "F": sorted(self.primes),
             "terms": [
-                {"r_smooth": str(rf), "r_coprime": str(rc), "c": c}
+                {"r_smooth": _numstr(rf), "r_coprime": _numstr(rc), "c": c}
                 for (rf, rc), c in self.terms
             ],
         }

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .arith import Polynomial
-from .errors import HalfTwistPresent, NotEffectivelyTorified, _json_list
+from .errors import HalfTwistPresent, NotEffectivelyTorified, _json_list, _number, _numstr
 from .record import Record
 
 
@@ -112,15 +112,13 @@ class LClass(Record):
         return LClass.from_doubled(list(self.c2) + list(other.c2))
 
     def to_json(self) -> dict:
-        def key(k2: int) -> str:
-            return str(k2 // 2) if k2 % 2 == 0 else str(Fraction(k2, 2))
-        return {"L": {key(k): c for k, c in self.c2}}
+        return {"L": {_numstr(Fraction(k2, 2)): c for k2, c in self.c2}}
 
     @staticmethod
     def from_json(data: dict) -> "LClass":
         acc = {}
         for key, c in data["L"].items():
-            f = Fraction(key) * 2
+            f = _number(key) * 2
             if f.denominator != 1:
                 raise ValueError(f"exponent {key} is not a half-integer")
             acc[int(f)] = int(c)

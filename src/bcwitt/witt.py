@@ -54,7 +54,7 @@ from operator import mul
 from typing import Sequence, Union
 
 from .arith import _CLEAR_MAX_BITS, Polynomial, _clear, _norm_coeff, _unclear, poly_gcd
-from .errors import NotDivisible, TruncationTooSmall, _json_list
+from .errors import NotDivisible, TruncationTooSmall, _json_list, _number, _numstr
 from .record import Record
 
 Scalar = Union[int, Fraction]
@@ -94,12 +94,12 @@ class WittVector(Record):
         return WittVector(n, self.coeffs[:n])
 
     def to_json(self) -> dict:
-        return {"trunc": self.trunc, "coeffs": [str(Fraction(c)) for c in self.coeffs]}
+        return {"trunc": self.trunc, "coeffs": [_numstr(c) for c in self.coeffs]}
 
     @staticmethod
     def from_json(data: dict) -> "WittVector":
         coeffs = _json_list(data["coeffs"], "coeffs")
-        return WittVector.from_coeffs([Fraction(c) for c in coeffs], int(data["trunc"]))
+        return WittVector.from_coeffs([_number(c) for c in coeffs], int(data["trunc"]))
 
 
 class GhostVector(Record):
@@ -339,13 +339,13 @@ class RationalWitt(Record):
 
     def to_json(self) -> dict:
         def side(p: Polynomial):
-            return [c if isinstance(c, int) else str(c) for c in p.coeffs]
+            return [c if isinstance(c, int) else _numstr(c) for c in p.coeffs]
         return {"num": side(self.num), "den": side(self.den)}
 
     @staticmethod
     def from_json(data: dict) -> "RationalWitt":
         def side(cs):
-            return Polynomial([Fraction(c) for c in _json_list(cs, "num and den")])
+            return Polynomial([_number(c) for c in _json_list(cs, "num and den")])
         return RationalWitt.of(side(data["num"]), side(data.get("den", [1])))
 
 

@@ -49,14 +49,11 @@ def _q_value(q: QParam) -> int | Polynomial:
 
 
 class F1Zeta(Record):
-    source: TorifiedClass
     ghost: GhostVector
     witt: WittVector
 
 
 class HWZeta(Record):
-    source: TorifiedClass
-    q: QParam
     ghost: GhostVector
     rational: RationalWitt | None  # None when q is symbolic
 
@@ -66,7 +63,7 @@ def f1_zeta(c: TorifiedClass, trunc: int) -> F1Zeta:
     if trunc < 1:
         raise ValueError("truncation must be >= 1")
     g = GhostVector.of([f1m_points(c, m) for m in range(1, trunc + 1)])
-    return F1Zeta(c, g, unghost(g))
+    return F1Zeta(g, unghost(g))
 
 
 def polylog_rational(k: int) -> tuple[Polynomial, Polynomial]:
@@ -90,23 +87,19 @@ def polylog_rational(k: int) -> tuple[Polynomial, Polynomial]:
     return num, one_minus_t**k
 
 
-def hw_zeta(c: TorifiedClass, q: QParam, trunc: int = 12,
-            with_rational: bool = True) -> HWZeta:
+def hw_zeta(c: TorifiedClass, q: QParam, trunc: int = 12) -> HWZeta:
     """Finite-field zeta from the L-basis c = sum e_j L^j.
 
     Ghosts are sum e_j q^(jm); for integer q the rational form is
-    prod (1 - q^j t)^(-e_j).  Its factor multiplicities grow
-    combinatorially with the class degree, so callers that only need
-    ghosts (e.g. for product classes) can pass with_rational=False.
+    prod (1 - q^j t)^(-e_j).
     """
     symbolic = _require_symbolic(q)
     e = _l_poly(c)
     g = GhostVector.of([e.substitute_power(m) if symbolic else e(q**m)
                         for m in range(1, trunc + 1)])
-    if symbolic or not with_rational:
-        return HWZeta(c, "q" if symbolic else q, g, None)
-    num = Polynomial([1])
-    den = Polynomial([1])
+    if symbolic:
+        return HWZeta(g, None)
+    num = den = Polynomial([1])
     for j, ej in enumerate(e.coeffs):
         factor = Polynomial([1, -(q**j)]) ** abs(ej)
         if ej > 0:
@@ -114,7 +107,7 @@ def hw_zeta(c: TorifiedClass, q: QParam, trunc: int = 12,
         elif ej < 0:
             num = num * factor
     # Coprime already: the sides collect disjoint linear factors (q >= 2).
-    return HWZeta(c, q, g, RationalWitt(num, den))
+    return HWZeta(g, RationalWitt(num, den))
 
 
 def z0(k: int, q: QParam, trunc: int = 12) -> GhostVector:

@@ -184,6 +184,18 @@ def test_polynomial_arithmetic():
     assert Polynomial([2, 0, 1]).reversed() == Polynomial([1, 0, 2])
 
 
+def test_polynomial_powers_match_repeated_products():
+    polys = [Polynomial(), Polynomial([-3]), Polynomial([1, 0, 0, 0, -2]),
+             Polynomial([2, -1, 3, 5]), Polynomial([Fraction(1, 2), 0, Fraction(-2, 3)])]
+    for p in polys:
+        expected = Polynomial([1])
+        for e in range(10):
+            assert p**e == expected
+            expected = expected * p
+        with pytest.raises(ValueError):
+            p ** -1
+
+
 def test_poly_gcd():
     a = Polynomial([-1, 1]) * Polynomial([1, 0, 1])
     b = Polynomial([-1, 1]) * Polynomial([1, 1])

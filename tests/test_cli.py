@@ -1,10 +1,13 @@
 import json
 import random
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
-from bcwitt.cli import COMMANDS, _FLAGS, _digits, main
+from bcwitt.cli import COMMANDS, _FLAGS, main
+from bcwitt.errors import _digits, _number
 
 
 def run_cli(capsys, *argv):
@@ -202,13 +205,19 @@ def test_domain_error_exit_code(capsys):
 def test_output_past_the_digit_limit(capsys):
     """A valid call whose output holds a number longer than Python will
     print exits 1 with LimitExceeded: from a numeric string, from a JSON
-    integer, and from a count."""
+    integer, from a count, and from each library printer."""
     big = "7" * 400
     elem = '{"terms":[{"r":"1/2","c":%s}]}' % big
+    witt = json.dumps({"trunc": 1, "coeffs": [big]})
+    point = '{"terms":[{"r":"1/%s","c":1}]}'
     calls = [
         (("zeta", "quotient-check", "--k", "1000", "--q", "3", "--trunc", "5"), 1114),
         (("qz", "mul", "--a", elem, "--b", elem), 800),
         (("class", "points", "--m", "10", "--class", json.dumps({"T": [0] * 700 + [1]})), 701),
+        (("witt", "mul", "--a", witt, "--b", witt), 800),
+        (("endo", "frobenius", "--n", "2200", "--matrix", '{"matrix":["2"]}'), 663),
+        (("qz", "mul", "--a", point % big, "--b", point % ("1" + "0" * 399)), 799),
+        (("qz", "rho", "--n", "2", "--elem", point % ("7" * 640)), 641),
     ]
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -231,6 +240,39 @@ def test_digit_count():
     values += [rng.getrandbits(rng.randint(1, 1300)) for _ in range(200)]
     for n in values:
         assert _digits(n) == _digits(-n) == len(str(n))
+
+
+# One call per payload reader, with the number x in its place.
+NUMBER_SITES = {
+    "WittVector": lambda x: ["witt", "ghost", "--witt", json.dumps({"trunc": 1, "coeffs": [x]})],
+    "RationalWitt": lambda x: ["endo", "phimu", "--rational", json.dumps({"num": [1, x]})],
+    "EndoObject": lambda x: ["endo", "lmap", "--matrix", json.dumps({"matrix": [x]})],
+    "QZElement": lambda x: ["qz", "sigma", "--n", "2", "--elem",
+                            json.dumps({"terms": [{"r": x, "c": 1}]})],
+    "LClass": lambda x: ["class", "convert", "--class", json.dumps({"L": {x: 1}})],
+    "ToralMap": lambda x: ["euler", "spectral", "--matrix", json.dumps({"rows": [[x]]})],
+}
+
+
+def test_payload_number_grammar(capsys):
+    """A payload number is a JSON integer or a string -?digits(/digits)?;
+    every other value is malformed at once: no exponent is expanded."""
+    rejects = ["1.5", "0.25", "1e9", "1e100000000", " 7", "7 ", "+7", "1_000", "\u0663",
+               "1/2/3", "1/", "/2", "-", "--7", "1/-2", "1/0", "", None, [], ["7"], {}]
+    for site, argv in NUMBER_SITES.items():
+        for x in rejects:
+            if site == "LClass" and not isinstance(x, str):
+                continue  # JSON object keys are strings
+            start = time.perf_counter()
+            assert run_cli(capsys, *argv(x))[:2] == (2, ""), (site, x)
+            assert time.perf_counter() - start < 1, (site, x)
+        for x in ["7", "0", "-0", 5, -4] + (["-3/2", "6/4"] if site != "ToralMap" else []):
+            code, out, err = run_cli(capsys, *argv(x))
+            assert code in (0, 1) and json.loads(out), (site, x, err)
+    assert [_number(x) for x in ("-3/2", "6/4", "4/2", "-0", "007", 12)] == [
+        Fraction(-3, 2), Fraction(3, 2), 2, 0, 7, 12]
+    assert [type(_number(x)) for x in ("4/2", "-0", 12)] == [int] * 3
+    assert run_json(capsys, *NUMBER_SITES["WittVector"]("-6/4"))["ghost"] == ["-3/2"]
 
 
 def test_usage_errors(tmp_path, capsys):

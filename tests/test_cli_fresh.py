@@ -76,11 +76,11 @@ EXPORTED = """
 """.split()
 
 
-def fresh_python(*args: str) -> subprocess.CompletedProcess:
+def fresh_python(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("BCWITT_TRUNC", None)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          stdin=subprocess.DEVNULL, timeout=60)
+                          stdin=subprocess.DEVNULL, timeout=timeout)
 
 
 def test_every_subcommand_has_a_call():
@@ -104,6 +104,15 @@ def test_output_past_the_default_digit_limit():
                         "--k", "100000", "--q", "3", "--trunc", "5")
     assert (done.returncode, done.stderr) == (1, "")
     assert json.loads(done.stdout)["error"]["kind"] == "LimitExceeded"
+
+
+def test_exponent_string_is_malformed():
+    """Fraction("1e100000000") would build a 10^8-digit int before any
+    check; the payload grammar rejects the string at once."""
+    done = fresh_python("-m", "bcwitt.cli", "witt", "ghost",
+                        "--witt", '{"trunc":1,"coeffs":["1e100000000"]}', timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "is not an integer or a fraction" in done.stderr
 
 
 def test_cli_import_loads_no_library_module():

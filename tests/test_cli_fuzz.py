@@ -65,7 +65,7 @@ KEYS = ["terms", "r", "c", "trunc", "coeffs", "T", "L", "rows", "matrix", "num",
         "level", "perm", "total", "base", "map", "class", "d"]
 any_json = st.recursive(
     st.none() | st.booleans() | small | fractions
-    | st.sampled_from(["1/0", "x", "", "0.5", "-"]),
+    | st.sampled_from(["1/0", "x", "", "0.5", "-", "1e9", "1_000", " 7"]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
         st.sampled_from(KEYS), inner, max_size=4),
     max_leaves=12)
