@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 Cyclotomic factorization is by repeated trial division, smallest index
 first, which is exact and fast at the degrees this package meets.
+``_power_series`` is the one power kernel: polynomial powers, ``witt_scale``
+and the T/L basis substitutions of ``torified`` all run through it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import NotQuasiUnipotent
@@ -125,16 +128,18 @@ def _unclear(bs: Sequence[Coeff], E: int, S: int = 1) -> Sequence[Coeff]:
     return out
 
 
-def _power(x, e: int, mul):
-    """x^e for e >= 1, high bit first: a squaring per bit after the first and
-    a product by x (the left factor, where mul can skip zeros) per further 1
-    bit, so x^2 costs one product and x^3 two."""
-    result = x
-    for bit in bin(e)[3:]:
-        result = mul(result, result)
-        if bit == "1":
-            result = mul(x, result)
-    return result
+def _power_series(p: Sequence[Coeff], k: int, n: int) -> list[Coeff]:
+    """Coefficients 0..n of P^k, for p_0 != 0 and any integer k, by J. C. P.
+    Miller's recurrence m p_0 q_m = sum_{j>=1} ((k+1) j - m) p_j q_{m-j} (Knuth,
+    TAOCP vol. 2, 4.7), a term per p_j; with p_0 = 1 it is ghost(P^k) = k ghost(P)."""
+    a = p[1:n + 1]
+    ja = [j * x for j, x in enumerate(a, 1)]
+    rev = [_norm_coeff(p[0] ** k if k >= 0 else Fraction(p[0]) ** k)]  # q_{m-1}, ..., q_0
+    for m in range(1, n + 1):
+        s = (k + 1) * sum(map(mul, ja, rev)) - m * sum(map(mul, a, rev))
+        q, r = divmod(s, m * p[0])  # q is an int; exact when r = 0
+        rev.insert(0, Fraction(s, m * p[0]) if r else q)
+    return rev[::-1]
 
 
 class Polynomial:
@@ -208,7 +213,10 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        return _power(self, n, Polynomial.__mul__) if n else Polynomial([1])
+        if not self.coeffs:  # 0^0 = 1
+            return self if n else Polynomial([1])
+        v = next(i for i, c in enumerate(self.coeffs) if c)  # P = t^v P0, P0(0) != 0
+        return Polynomial([0] * (v * n) + _power_series(self.coeffs[v:], n, (self.degree - v) * n))
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():

@@ -232,6 +232,8 @@ def _equivariant_euler(args, action: dict) -> dict:
 def _equivariant_check(args, data: dict) -> dict:
     eq = lib.equivariant
     a, n, kmax = _plain_action(args, data), args.n, args.kmax
+    if kmax < 1:
+        raise UsageError(f"--kmax must be >= 1, not {kmax}")
     shifted = eq.sigma_action(n, a)
     spread = eq.verschiebung_action(n, a)
     for k in range(1, kmax + 1):

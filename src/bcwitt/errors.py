@@ -52,7 +52,7 @@ def _digits(n: int) -> int:
 def _too_long(numbers) -> LimitExceeded:
     """The error for output ints past Python's int -> str digit limit."""
     return LimitExceeded("decimal digits of an output number",
-                         sys.get_int_max_str_digits(), max(map(_digits, numbers)))
+                         sys.get_int_max_str_digits(), _digits(max(numbers, key=abs)))
 
 
 def _numstr(x) -> str:

@@ -17,7 +17,7 @@ from itertools import chain, repeat
 from operator import add, itemgetter, mul
 from typing import Sequence, Union
 
-from .arith import Polynomial, _norm_coeff, _power, _unclear
+from .arith import Polynomial, _norm_coeff, _unclear
 
 Entry = Union[int, Fraction]
 Matrix = tuple[tuple[Entry, ...], ...]
@@ -76,13 +76,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:
-    """a^e by ``arith._power``, so a is the left factor where mat_mul can
-    skip its zeros.  Integral entries come out as ints."""
+    """a^e, high bit first, with a the left factor (where mat_mul can skip
+    its zeros) of each product by a.  Integral entries come out as ints."""
     if e < 0:
         raise ValueError("negative matrix power")
     if not e:
         return identity(len(a))
-    result = _power(a, e, mat_mul)
+    result = a
+    for bit in bin(e)[3:]:
+        result = mat_mul(result, result)
+        if bit == "1":
+            result = mat_mul(a, result)
     if set(map(type, chain.from_iterable(result))) <= {int}:
         return result
     return tuple(tuple(map(_norm_coeff, row)) for row in result)

@@ -3,7 +3,8 @@
 A torified class is a polynomial in the torus class T = L - 1 with
 nonnegative integer coefficients; the same class can be written in the
 L-basis (Laurent polynomial in the Lefschetz class L), and conversion is
-the exact binomial substitution T = L - 1 / L = T + 1.  L-basis exponents
+the exact substitution T = L - 1 / L = T + 1, a sum of powers of the
+other basis element, each from ``arith._power_series``.  L-basis exponents
 may be half-integers after a virtual-motive twist, so exponents are stored
 doubled; plain classes have all-even internal keys.
 
@@ -20,7 +21,6 @@ level by n.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -125,15 +125,14 @@ class LClass(Record):
         return LClass.from_doubled(acc)
 
 
+def _expand(terms: Iterable[tuple[int, int | Polynomial]], base: Polynomial) -> Polynomial:
+    """sum c base^j over the (j, c) pairs."""
+    return sum((c * base**j for j, c in terms), Polynomial())
+
+
 def _l_poly(c: TorifiedClass) -> Polynomial:
     """The L-basis coefficients e_j of c, as the polynomial sum e_j L^j."""
-    e = [0] * len(c.a)
-    for k, a in enumerate(c.a):
-        if a == 0:
-            continue
-        for j in range(k + 1):
-            e[j] += a * math.comb(k, j) * (-1) ** (k - j)
-    return Polynomial(e)
+    return _expand(((k, a) for k, a in enumerate(c.a) if a), Polynomial([-1, 1]))  # T = L - 1
 
 
 def t_to_l(c: TorifiedClass) -> LClass:
@@ -147,12 +146,7 @@ def l_to_t(c: LClass) -> TorifiedClass:
         raise HalfTwistPresent("cannot torify a class with half-integer twists")
     if any(k < 0 for k, _ in c.c2):
         raise NotEffectivelyTorified("negative powers of the Lefschetz class do not torify")
-    top = max((k // 2 for k, _ in c.c2), default=-1)
-    out = [0] * (top + 1)
-    for k2, coeff in c.c2:
-        j = k2 // 2
-        for i in range(j + 1):
-            out[i] += coeff * math.comb(j, i)
+    out = list(_expand(((k2 // 2, coeff) for k2, coeff in c.c2), Polynomial([1, 1])).coeffs)
     if any(x < 0 for x in out):
         raise NotEffectivelyTorified(f"T-coefficients {out} have a negative entry")
     return TorifiedClass.of(out)
@@ -171,13 +165,10 @@ def euler_characteristic(c: TorifiedClass) -> int:
 
 def bb_assemble(pieces: Iterable[tuple[TorifiedClass, int]]) -> TorifiedClass:
     """Assemble sum [Z_i] L^(d_i) in the T-basis: sum [Z_i] (T + 1)^(d_i)."""
-    total = Polynomial()
-    affine_line = Polynomial([1, 1])  # L = 1 + T
-    for z, d in pieces:
-        if d < 0:
-            raise ValueError("cell dimensions must be nonnegative")
-        total = total + Polynomial(z.a) * affine_line**d
-    return TorifiedClass.of(total.coeffs)
+    terms = [(d, Polynomial(z.a)) for z, d in pieces]
+    if any(d < 0 for d, _ in terms):
+        raise ValueError("cell dimensions must be nonnegative")
+    return TorifiedClass.of(_expand(terms, Polynomial([1, 1])).coeffs)  # L = T + 1
 
 
 def virtual_motive(c: LClass, dim: int) -> LClass:

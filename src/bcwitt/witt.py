@@ -24,11 +24,11 @@ only for the part of a denominator that ``_clear`` leaves alone (primes
 above 1000 after the first entry, or a cover past its bit cap), and in
 ``series_mul`` on sides whose denominators are wider than
 ``arith._CLEAR_MAX_BITS`` bits per Fraction entry.  ``ghost`` stops the
-sum at the last nonzero coefficient, so a polynomial padded to truncation
-N costs O(N * degree).  ``ghost``, ``unghost``, ``series_mul`` and ``series_div``
-are the package's only Newton and convolution loops; the matrix layers
-reach them through det(1 - t M).  Each keeps its past outputs in a buffer
-newest first, so every inner sum is one ``sum(map(mul, coeffs, rev))``.
+sum at the last nonzero coefficient, so a polynomial padded to truncation N
+costs O(N * degree).  ``ghost``, ``unghost``, ``series_mul``, ``series_div`` and
+``arith._power_series`` are the package's only Newton and convolution loops; the
+matrix layers reach them through det(1 - t M).  Each keeps its past outputs in a
+buffer newest first, so every inner sum is one ``sum(map(mul, coeffs, rev))``.
 ``_unghost`` is the body of ``unghost`` on a plain sequence of values,
 returning the coefficients with no vector built:
 ``dynamical.lefschetz_numbers`` calls it once per iterate.
@@ -53,7 +53,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
 
-from .arith import _CLEAR_MAX_BITS, Polynomial, _clear, _norm_coeff, _unclear, poly_gcd
+from .arith import (_CLEAR_MAX_BITS, Polynomial, _clear, _norm_coeff, _power_series, _unclear,
+                    poly_gcd)
 from .errors import NotDivisible, TruncationTooSmall, _json_list, _number, _numstr
 from .record import Record
 
@@ -262,8 +263,9 @@ def witt_mul(a: WittVector, b: WittVector) -> WittVector:
 
 
 def witt_scale(n: int, a: WittVector) -> WittVector:
-    """n-fold Witt sum of a with itself (ghosts scale by n)."""
-    return unghost(ghost(a).scale(n))
+    """n-fold Witt sum of a with itself: the series a^n (ghosts scale by n)."""
+    E, c = _clear(a.coeffs)
+    return WittVector(a.trunc, tuple(_unclear(_power_series((1, *c), n, a.trunc)[1:], E)))
 
 
 def teichmuller(a: Scalar, trunc: int) -> WittVector:

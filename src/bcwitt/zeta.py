@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .arith import Polynomial, stirling2
+from .arith import Polynomial
 from .torified import TorifiedClass, _l_poly, f1m_points
 from .witt import GhostVector, RationalWitt, WittVector, ghost_divide, unghost
 from .record import Record
@@ -69,22 +69,14 @@ def f1_zeta(c: TorifiedClass, trunc: int) -> F1Zeta:
 def polylog_rational(k: int) -> tuple[Polynomial, Polynomial]:
     """The rational function with series sum_m m^(k-1) t^m, for k >= 1.
 
-    Assembled from powers of u = t/(1-t) with Stirling-number weights:
-    sum_{l=0}^{k-1} l! S(k, l+1) u^(l+1), returned as (num, den) with
-    den = (1-t)^k.
+    Returned as (num, den) with den = (1-t)^k: num has degree at most k, so
+    it is den times the series sum_{m=1..k} m^(k-1) t^m cut after t^k.
     """
     if k < 1:
         raise ValueError("polylog_rational needs k >= 1")
-    t = Polynomial([0, 1])
-    one_minus_t = Polynomial([1, -1])
-    num = Polynomial()
-    fact = 1
-    for ell in range(k):
-        if ell:
-            fact *= ell
-        # l! S(k, l+1) t^(l+1) (1-t)^(k-l-1)
-        num = num + fact * stirling2(k, ell + 1) * t ** (ell + 1) * one_minus_t ** (k - ell - 1)
-    return num, one_minus_t**k
+    den = Polynomial([1, -1]) ** k
+    num = den * Polynomial([0, *(m ** (k - 1) for m in range(1, k + 1))])
+    return Polynomial(num.coeffs[:k + 1]), den
 
 
 def hw_zeta(c: TorifiedClass, q: QParam, trunc: int = 12) -> HWZeta:

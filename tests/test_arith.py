@@ -236,3 +236,24 @@ def test_divmod_matches_sympy():
         assert q * b + r == a
         if monic and a.is_integral() and b.is_integral():
             assert q.is_integral() and r.is_integral()
+
+
+def test_powers_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(1901)
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)] or [0], x, domain="QQ")
+
+    for trial in range(60):
+        shift = [0] * rng.randint(0, 2)
+        if trial % 2:
+            cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                  for _ in range(rng.randint(1, 5))]
+        else:
+            cs = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(rng.randint(1, 8))]
+        p, k = Polynomial(shift + cs), rng.randint(0, 40)
+        assert to_sympy(p**k) == to_sympy(p) ** k
+    assert to_sympy(Polynomial([1, 1]) ** 500) == sympy.Poly((x + 1) ** 500, x, domain="QQ")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bcwitt.cli import COMMANDS, _FLAGS, main
-from bcwitt.errors import _digits, _number
+from bcwitt.errors import _digits, _number, _too_long
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +157,11 @@ def test_equivariant_commands(capsys):
     chk = run_json(capsys, "equivariant", "check", "--action", act, "--n", "3",
                    "--kmax", "12")
     assert chk["ok"] is True
+    # A check of no k at all is a usage error, not {"ok": true}.
+    for kmax in ("0", "-3"):
+        code, out, err = run_cli(capsys, "equivariant", "check", "--action", act, "--n", "3",
+                                 "--kmax", kmax)
+        assert (code, out) == (2, "") and "--kmax" in err
 
 
 def test_equivariant_relative(capsys):
@@ -240,6 +245,21 @@ def test_digit_count():
     values += [rng.getrandbits(rng.randint(1, 1300)) for _ in range(200)]
     for n in values:
         assert _digits(n) == _digits(-n) == len(str(n))
+
+
+def test_too_long_counts_the_longest_number():
+    """The LimitExceeded detail names the digits of the largest |x|, found
+    without counting the digits of every output number."""
+    rng = random.Random(7)
+    numbers = [rng.getrandbits(rng.randint(1, 19000)) * rng.choice((1, -1)) for _ in range(400)]
+    numbers += [-(10**6000), 10**5999]
+    want = max(map(_digits, numbers))
+    assert want == 6001
+    for xs in (numbers, iter(numbers), reversed(numbers)):
+        err = _too_long(xs)
+        assert (err.value, err.limit) == (want, sys.get_int_max_str_digits())
+        assert err.detail == (f"decimal digits of an output number: {want} "
+                              f"exceeds the limit {err.limit}")
 
 
 # One call per payload reader, with the number x in its place.

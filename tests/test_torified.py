@@ -41,8 +41,11 @@ def test_t_to_l():
 
 def test_l_to_t():
     assert l_to_t(LClass.from_integer_coeffs([1, 1])) == TorifiedClass.of([2, 1])
-    with pytest.raises(NotEffectivelyTorified):
+    # The detail prints the T-coefficients as a list.
+    with pytest.raises(NotEffectivelyTorified, match=r"^T-coefficients \[-1, 1\] have a negative"):
         l_to_t(LClass.from_integer_coeffs([-2, 1]))
+    with pytest.raises(NotEffectivelyTorified, match=r"^T-coefficients \[-4, 3, 3, 1\] have"):
+        l_to_t(LClass.from_doubled({0: -5, 6: 1}))
     with pytest.raises(NotEffectivelyTorified):
         l_to_t(LClass.from_doubled({-2: 1}))
     with pytest.raises(HalfTwistPresent):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bcwitt import zeta
-from bcwitt.arith import Polynomial
+from bcwitt.arith import Polynomial, stirling2
 from bcwitt.torified import TorifiedClass
 from bcwitt.witt import GhostVector, RationalWitt, ghost, series_div
 from bcwitt.zeta import (
@@ -39,6 +39,23 @@ def test_polylog_rational_small():
     assert polylog_rational(1) == (Polynomial([0, 1]), Polynomial([1, -1]))
     assert polylog_rational(2) == (Polynomial([0, 1]), Polynomial([1, -1]) ** 2)
     assert polylog_rational(3) == (Polynomial([0, 1, 1]), Polynomial([1, -1]) ** 3)
+
+
+def stirling_polylog(k):
+    """num = sum_{l<k} l! S(k, l+1) t^(l+1) (1-t)^(k-l-1), the assembly
+    from powers of t/(1-t), and den = (1-t)^k."""
+    t, one_minus_t = Polynomial([0, 1]), Polynomial([1, -1])
+    num, fact = Polynomial(), 1
+    for ell in range(k):
+        if ell:
+            fact *= ell
+        num = num + fact * stirling2(k, ell + 1) * t ** (ell + 1) * one_minus_t ** (k - ell - 1)
+    return num, one_minus_t**k
+
+
+def test_polylog_rational_matches_stirling_assembly():
+    for k in range(1, 60):
+        assert polylog_rational(k) == stirling_polylog(k)
 
 
 def test_polylog_series_is_power_sums():
