@@ -25,7 +25,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .errors import NotQuasiUnipotent
+from .errors import LimitExceeded, NotQuasiUnipotent
 
 Coeff = Union[int, Fraction]
 
@@ -43,6 +43,11 @@ def _norm_coeff(c: Coeff) -> Coeff:
 # denominators the Fraction path carries: 1/m at N = 120 needs E ~ 2^155
 # and ran 6x slower.  No such E is taken.
 _CLEAR_MAX_BITS = 64
+
+# The largest degree of a polynomial power, checked before any work: a
+# hostile L-exponent or cell dimension would otherwise grow a dense list
+# until memory runs out.
+_MAX_POWER_DEGREE = 2**15
 
 
 @lru_cache(maxsize=None)
@@ -213,6 +218,9 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
+        if self.degree * n > _MAX_POWER_DEGREE:
+            raise LimitExceeded("degree of a polynomial power", _MAX_POWER_DEGREE,
+                                self.degree * n)
         if not self.coeffs:  # 0^0 = 1
             return self if n else Polynomial([1])
         v = next(i for i, c in enumerate(self.coeffs) if c)  # P = t^v P0, P0(0) != 0

@@ -43,7 +43,7 @@ from .errors import DegenerateIterate, _json_list, _number, _numstr
 from . import linalg
 from .linalg import Matrix
 from .witt import GhostVector, WittVector, _unghost, ghost, unghost, witt_add
-from .record import Record
+from .record import Record, _canonical
 
 if TYPE_CHECKING:
     from .qz import QZElement
@@ -97,7 +97,7 @@ class LefschetzZeta(Record):
 
     @staticmethod
     def of(exponents: dict[int, int]) -> "LefschetzZeta":
-        return LefschetzZeta(tuple(sorted((d, s) for d, s in exponents.items() if s != 0)))
+        return LefschetzZeta(_canonical(exponents.items()))
 
     def expand(self, trunc: int) -> WittVector:
         """Ghosts of (1 - t^d)^(-s) are s*d at multiples of d, else 0."""

@@ -8,12 +8,12 @@ Inside this module a point num/den of Q/Z is the int key (den, num) in
 lowest terms with 0 <= num < den, reduced by one gcd, and sorting the keys
 gives the canonical (denominator, numerator) order.  Fractions appear only
 in ``QZElement.terms``: one Fraction(num, den) per distinct point of a
-result, built from the sorted keys.
+result, built from the canonical keys.
 
-Maps that can send two points to one (``from_terms``, ``sigma``, ``+``,
-``*``, ``unsplit``) sum coefficients on the keys.  ``rho`` and ``split``
-only sort: distinct points have disjoint sets of preimages under n, and
-the CRT split is a bijection, so no two keys of their outputs coincide.
+Every map reads its input's points through ``_point`` (``split``: its CRT
+key) and hands its (key, coefficient) pairs to ``record._canonical``, so an
+element built directly with repeated, unreduced or out-of-range points or
+zero coefficients maps as its canonical form does.
 
 The semigroup maps implemented here are
 
@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import _number, _numstr
-from .record import Record
+from .record import Record, _canonical
 
 
 def qz(num: int, den: int = 1) -> Fraction:
@@ -55,14 +55,14 @@ def _point(num: int, den: int) -> tuple[int, int]:
 
 
 def _element(pairs: Iterable[tuple[tuple[int, int], int]]) -> "QZElement":
-    """The canonical element of (key, coefficient) pairs with distinct keys."""
-    return QZElement(tuple((Fraction(num, den), c) for (den, num), c in sorted(pairs) if c))
+    """The canonical element of (key, coefficient) pairs."""
+    return QZElement(tuple((Fraction(num, den), c) for (den, num), c in _canonical(pairs)))
 
 
 def _primitive_points(orders: Mapping[int, int]) -> "QZElement":
     """Sum over d of orders[d] times the points of exact order d, j/d with
     gcd(j, d) = 1; the canonical order is that of d, then j."""
-    return QZElement(tuple((Fraction(j, d), c) for d, c in sorted(orders.items()) if c
+    return QZElement(tuple((Fraction(j, d), c) for d, c in _canonical(orders.items())
                            for j in range(d) if math.gcd(j, d) == 1))
 
 
@@ -73,12 +73,8 @@ class QZElement(Record):
 
     @staticmethod
     def from_terms(terms: Mapping[Fraction, int] | Iterable[tuple[Fraction, int]]) -> "QZElement":
-        acc: dict[tuple[int, int], int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for r, c in items:
-            key = _point(r.numerator, r.denominator)
-            acc[key] = acc.get(key, 0) + c
-        return _element(acc.items())
+        return _element((_point(r.numerator, r.denominator), c) for r, c in items)
 
     @staticmethod
     def zero() -> "QZElement":
@@ -87,8 +83,7 @@ class QZElement(Record):
     @staticmethod
     def e(r: Fraction | int, coeff: int = 1) -> "QZElement":
         """The basis element coeff * e(r)."""
-        f = r if isinstance(r, Fraction) else Fraction(r)
-        return QZElement.from_terms({f: coeff})
+        return QZElement.from_terms([(Fraction(r), coeff)])
 
     def coeff(self, r: Fraction) -> int:
         key = qz(r.numerator, r.denominator)
@@ -101,29 +96,21 @@ class QZElement(Record):
         return not self.terms
 
     def __add__(self, other: "QZElement") -> "QZElement":
-        acc = {(r.denominator, r.numerator): c for r, c in self.terms}
-        for r, c in other.terms:
-            key = r.denominator, r.numerator
-            acc[key] = acc.get(key, 0) + c
-        return _element(acc.items())
+        return QZElement.from_terms(self.terms + other.terms)
 
     def __neg__(self) -> "QZElement":
-        return QZElement(tuple((r, -c) for r, c in self.terms))
+        return self * -1
 
     def __sub__(self, other: "QZElement") -> "QZElement":
         return self + (-other)
 
     def __mul__(self, other: "QZElement | int") -> "QZElement":
         if isinstance(other, int):
-            return _element(((r.denominator, r.numerator), c * other) for r, c in self.terms)
+            return QZElement.from_terms((r, c * other) for r, c in self.terms)
+        left = [(r.numerator, r.denominator, a) for r, a in self.terms]
         right = [(s.numerator, s.denominator, b) for s, b in other.terms]
-        acc: dict[tuple[int, int], int] = {}
-        for r, a in self.terms:
-            rn, rd = r.numerator, r.denominator
-            for sn, sd, b in right:
-                key = _point(rn * sd + sn * rd, rd * sd)
-                acc[key] = acc.get(key, 0) + a * b
-        return _element(acc.items())
+        return _element((_point(rn * sd + sn * rd, rd * sd), a * b)
+                        for rn, rd, a in left for sn, sd, b in right)
 
     __rmul__ = __mul__
 
@@ -144,19 +131,15 @@ def sigma(n: int, a: QZElement) -> QZElement:
     """Ring endomorphism e(r) -> e(n r mod 1)."""
     if n < 1:
         raise ValueError("sigma needs n >= 1")
-    acc: dict[tuple[int, int], int] = {}
-    for r, c in a.terms:
-        key = _point(n * r.numerator, r.denominator)
-        acc[key] = acc.get(key, 0) + c
-    return _element(acc.items())
+    return _element((_point(n * r.numerator, r.denominator), c) for r, c in a.terms)
 
 
 def rho(n: int, a: QZElement) -> QZElement:
     """Additive map e(r) -> sum over the n solutions of n r' = r."""
     if n < 1:
         raise ValueError("rho needs n >= 1")
-    return _element([(_point(r.numerator + j * r.denominator, n * r.denominator), c)
-                     for r, c in a.terms for j in range(n)])
+    return _element((_point(r.numerator + j * r.denominator, n * r.denominator), c)
+                    for r, c in a.terms for j in range(n))
 
 
 def pi_n_times_n(n: int) -> QZElement:
@@ -204,16 +187,12 @@ def split(primes: Iterable[int], a: QZElement) -> SplitQZElement:
         raise ValueError("split needs a nonempty set of primes")
     if not all(p >= 2 and factorize(p) == {p: 1} for p in fset):
         raise ValueError("split needs a set of primes")
-    return SplitQZElement(fset, tuple(
-        ((Fraction(x, b_smooth), Fraction(y, b_cop)), c)
-        for (b_smooth, x, b_cop, y), c in sorted((_split_key(r, fset), c) for r, c in a.terms)))
+    terms = _canonical((_split_key(r, fset), c) for r, c in a.terms)
+    return SplitQZElement(fset, tuple(((Fraction(x, b_smooth), Fraction(y, b_cop)), c)
+                                      for (b_smooth, x, b_cop, y), c in terms))
 
 
 def unsplit(s: SplitQZElement) -> QZElement:
     """Inverse of split: multiply the two tensor legs back together."""
-    acc: dict[tuple[int, int], int] = {}
-    for (rf, rc), c in s.terms:
-        key = _point(rf.numerator * rc.denominator + rc.numerator * rf.denominator,
-                     rf.denominator * rc.denominator)
-        acc[key] = acc.get(key, 0) + c
-    return _element(acc.items())
+    return _element((_point(rf.numerator * rc.denominator + rc.numerator * rf.denominator,
+                            rf.denominator * rc.denominator), c) for (rf, rc), c in s.terms)

@@ -6,9 +6,15 @@ them, compare equal only to instances of the same class with equal fields,
 hash as the tuple of their fields, print as ``Name(field=value, ...)``
 unless the class defines its own ``__repr__``, and refuse assignment with
 an AttributeError.
+
+A record holding a finite formal sum (a Q/Z element, an L-class, Lefschetz
+exponents) stores the term tuple of ``_canonical``, so equal sums are equal
+records.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 
 class Record:
@@ -49,3 +55,12 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _canonical(pairs: Iterable[tuple]) -> tuple:
+    """The canonical term tuple of (key, coefficient) pairs: the coefficients
+    of equal keys summed, zero sums dropped, ascending key order."""
+    acc = {}
+    for key, c in pairs:
+        acc[key] = acc.get(key, 0) + c
+    return tuple((key, c) for key, c in sorted(acc.items()) if c)

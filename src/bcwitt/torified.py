@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .arith import Polynomial
 from .errors import HalfTwistPresent, NotEffectivelyTorified, _json_list, _number, _numstr
-from .record import Record
+from .record import Record, _canonical
 
 
 class TorifiedClass(Record):
@@ -90,11 +90,7 @@ class LClass(Record):
 
     @staticmethod
     def from_doubled(items: Mapping[int, int] | Iterable[tuple[int, int]]) -> "LClass":
-        acc: dict[int, int] = {}
-        pairs = items.items() if isinstance(items, Mapping) else items
-        for k2, c in pairs:
-            acc[k2] = acc.get(k2, 0) + c
-        return LClass(tuple(sorted((k, c) for k, c in acc.items() if c != 0)))
+        return LClass(_canonical(items.items() if isinstance(items, Mapping) else items))
 
     @staticmethod
     def from_integer_coeffs(coeffs: Sequence[int]) -> "LClass":
@@ -109,20 +105,20 @@ class LClass(Record):
         return LClass(tuple((k + half_steps, c) for k, c in self.c2))
 
     def __add__(self, other: "LClass") -> "LClass":
-        return LClass.from_doubled(list(self.c2) + list(other.c2))
+        return LClass.from_doubled(self.c2 + other.c2)
 
     def to_json(self) -> dict:
         return {"L": {_numstr(Fraction(k2, 2)): c for k2, c in self.c2}}
 
     @staticmethod
     def from_json(data: dict) -> "LClass":
-        acc = {}
+        pairs = []
         for key, c in data["L"].items():
             f = _number(key) * 2
             if f.denominator != 1:
                 raise ValueError(f"exponent {key} is not a half-integer")
-            acc[int(f)] = int(c)
-        return LClass.from_doubled(acc)
+            pairs.append((int(f), int(c)))
+        return LClass.from_doubled(pairs)
 
 
 def _expand(terms: Iterable[tuple[int, int | Polynomial]], base: Polynomial) -> Polynomial:

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import Sequence, Union
 
@@ -365,7 +366,10 @@ def ghost_divide(p: GhostVector, q: GhostVector) -> GhostVector:
     """Componentwise exact division of ghost vectors (Witt product quotient).
 
     Integer/rational entries must divide exactly in Z (or produce the exact
-    rational); polynomial entries must divide without remainder.
+    rational); polynomial entries must divide without remainder.  While
+    q - 1 divides both polynomials (both coefficient sums are 0), it is
+    divided out of both by prefix sums, the series quotient by 1 - q, whose
+    sign flips cancel; only what is left goes to the long division.
     """
     _match(p, q)
     out: list[GhostValue] = []
@@ -373,7 +377,13 @@ def ghost_divide(p: GhostVector, q: GhostVector) -> GhostVector:
         if isinstance(a, Polynomial) or isinstance(b, Polynomial):
             pa = a if isinstance(a, Polynomial) else Polynomial([a])
             pb = b if isinstance(b, Polynomial) else Polynomial([b])
-            quot, rem = divmod(pa, pb)
+            xs, ys = pa.coeffs, pb.coeffs
+            while xs and ys:  # the last prefix sum is the coefficient sum
+                sx, sy = list(accumulate(xs)), list(accumulate(ys))
+                if sx[-1] or sy[-1]:
+                    break
+                xs, ys = sx[:-1], sy[:-1]
+            quot, rem = divmod(Polynomial(xs), Polynomial(ys))
             if not rem.is_zero():
                 raise NotDivisible(f"polynomial ghost {pa!r} not divisible by {pb!r}")
             out.append(quot)

@@ -16,7 +16,7 @@ from bcwitt.arith import (
     stirling2,
     totient,
 )
-from bcwitt.errors import NotQuasiUnipotent
+from bcwitt.errors import LimitExceeded, NotQuasiUnipotent
 
 
 def count_partitions(k, r):
@@ -194,6 +194,20 @@ def test_polynomial_powers_match_repeated_products():
             expected = expected * p
         with pytest.raises(ValueError):
             p ** -1
+
+
+def test_power_degree_bound():
+    """A power of degree past 2^15 raises LimitExceeded before any work; a
+    monomial keeps the power at the bound cheap."""
+    t = Polynomial([0, 1])
+    assert t ** 2**15 == Polynomial([0] * 2**15 + [1])
+    with pytest.raises(LimitExceeded) as exc:
+        t ** (2**15 + 1)
+    assert (exc.value.limit, exc.value.value) == (2**15, 2**15 + 1)
+    assert str(exc.value) == "degree of a polynomial power: 32769 exceeds the limit 32768"
+    with pytest.raises(LimitExceeded):
+        Polynomial([1, 0, 1]) ** 99999999999
+    assert Polynomial([3]) ** 40000 == Polynomial([3**40000])  # degree 0 at any power
 
 
 def test_poly_gcd():

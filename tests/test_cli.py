@@ -262,6 +262,25 @@ def test_too_long_counts_the_longest_number():
                               f"exceeds the limit {err.limit}")
 
 
+def test_power_degree_past_the_bound(capsys):
+    """A polynomial power of degree past 2^15 (an L-exponent, a cell
+    dimension, a point count, a torus power) exits 1 at once."""
+    calls = [
+        (("class", "convert", "--class", '{"L":{"99999999999":1}}'), 99999999999),
+        (("class", "bb", "--pieces", '[{"class":{"T":[1]},"d":99999999999}]'), 99999999999),
+        (("zeta", "hw", "--q", "2", "--class", '{"T":[1000000000000]}'), 10**12),
+        (("zeta", "quotient-check", "--k", "100000", "--q", "q", "--trunc", "2"), 100000),
+    ]
+    for argv, degree in calls:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": {
+            "kind": "LimitExceeded",
+            "detail": f"degree of a polynomial power: {degree} exceeds the limit 32768"}}
+
+
 # One call per payload reader, with the number x in its place.
 NUMBER_SITES = {
     "WittVector": lambda x: ["witt", "ghost", "--witt", json.dumps({"trunc": 1, "coeffs": [x]})],

@@ -158,6 +158,8 @@ def test_lefschetz_zeta_series():
     assert lefschetz_zeta_series(ToralMap.of([[1]]), 6) == WittVector.one(6)
     # M = (-1): matches (1-t)^-2 (1-t^2) expanded.
     closed = LefschetzZeta.of({1: 2, 2: -1})
+    assert LefschetzZeta.of({4: 0, 2: -1, 1: 2}) == closed
+    assert closed.exponents == ((1, 2), (2, -1))
     assert lefschetz_zeta_series(ToralMap.of([[-1]]), 12) == closed.expand(12)
     assert ghost(lefschetz_zeta_series(ROT, 8)).values == (2, 4, 2, 0, 2, 4, 2, 0)
 

@@ -61,6 +61,22 @@ def test_sigma_rho_relations_random():
         assert rho(n, sigma(n, a)) == a * pi_n_times_n(n)
 
 
+def test_maps_sum_repeated_points():
+    """An element built directly with a repeated point maps as its canonical
+    form: rho lists each preimage once, with the summed coefficient."""
+    got = rho(2, QZElement(((Fraction(1, 2), 1), (Fraction(1, 2), 1))))
+    assert got == 2 * e(Fraction(1, 4)) + 2 * e(Fraction(3, 4))
+    assert got.terms == ((Fraction(1, 4), 2), (Fraction(3, 4), 2))
+    odd = QZElement(((Fraction(5, 2), 1), (0, 0), (Fraction(-1, 3), 2), (Fraction(1, 2), 3)))
+    canon = QZElement.from_terms(odd.terms)
+    assert canon.terms == ((Fraction(1, 2), 4), (Fraction(2, 3), 2))
+    for n in (1, 2, 3, 6):
+        assert sigma(n, odd) == sigma(n, canon)
+        assert rho(n, odd) == rho(n, canon)
+    assert split({2}, odd) == split({2}, canon)
+    assert odd + QZElement.zero() == odd * 1 == canon
+
+
 def test_semigroup_laws():
     rng = random.Random(11)
     for _ in range(20):

@@ -112,6 +112,16 @@ def test_virtual_motive():
         virtual_motive(LClass.from_doubled({1: 1}), 1)
 
 
+def test_l_class_canonical_form():
+    """Equal keys sum, zero sums drop out and keys ascend, from a map or from
+    pairs, so equal classes are equal records."""
+    a = LClass.from_doubled([(4, 1), (-1, 2), (4, -1), (0, 3), (-1, 1)])
+    assert a.c2 == ((-1, 3), (0, 3))
+    assert a == LClass.from_doubled({0: 3, -1: 3, 7: 0})
+    assert a + LClass.from_doubled({0: -3}) == LClass.from_doubled({-1: 3})
+    assert (a + LClass.from_doubled({-1: -3, 0: -3})).c2 == ()
+
+
 def test_leveled_bc_maps():
     x = LeveledClass(TorifiedClass.of([2, 1]), 2)
     assert bc_rho(3, x) == LeveledClass(TorifiedClass.of([6, 3]), 6)
@@ -126,5 +136,8 @@ def test_json():
     half = LClass.from_doubled({-1: 2, 4: 1})
     assert half.to_json() == {"L": {"-1/2": 2, "2": 1}}
     assert LClass.from_json(half.to_json()) == half
+    # Keys naming the same exponent sum, as any repeated key does.
+    assert LClass.from_json({"L": {"1": 2, "2/2": 3, "-1/2": 1, "-2/4": -1}}) == \
+        LClass.from_doubled([(2, 5)])
     lv = LeveledClass(c, 3)
     assert LeveledClass.from_json(lv.to_json()) == lv

@@ -207,6 +207,39 @@ def test_ghost_divide():
         ghost_divide(GhostVector.of([Polynomial([0, 1])]), GhostVector.of([Polynomial([1, 1])]))
 
 
+def test_ghost_divide_polynomials_match_divmod():
+    """Polynomial ghosts that carry factors (q - 1)^j divide as divmod does:
+    the same quotient when the remainder is zero, else NotDivisible naming
+    the original polynomials."""
+    rng = random.Random(37)
+    q_minus_1 = Polynomial([-1, 1])
+
+    def poly():
+        cs = [rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 5))))
+              for _ in range(rng.randint(1, 5))]
+        return Polynomial(cs) * q_minus_1 ** rng.randint(0, 6)
+
+    seen = set()
+    for _ in range(400):
+        b = poly()
+        if b.is_zero():
+            continue
+        a = rng.choice((poly(), poly() * b, rng.randint(-3, 3)))
+        pa = a if isinstance(a, Polynomial) else Polynomial([a])
+        quot, rem = divmod(pa, b)
+        if rem.is_zero():
+            seen.add("divisible")
+            assert ghost_divide(GhostVector.of([a]), GhostVector.of([b])).values == (quot,)
+        else:
+            seen.add("not divisible")
+            with pytest.raises(NotDivisible) as exc:
+                ghost_divide(GhostVector.of([a]), GhostVector.of([b]))
+            assert str(exc.value) == f"polynomial ghost {pa!r} not divisible by {b!r}"
+    assert seen == {"divisible", "not divisible"}
+    with pytest.raises(ZeroDivisionError):
+        ghost_divide(GhostVector.of([q_minus_1]), GhostVector.of([Polynomial()]))
+
+
 def test_json_roundtrip():
     w = WittVector.from_coeffs([1, Fraction(-3, 2), 0])
     assert w.to_json() == {"trunc": 3, "coeffs": ["1", "-3/2", "0"]}
