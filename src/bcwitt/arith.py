@@ -11,8 +11,9 @@ Conventions used throughout the package:
   serialize as plain integer lists.
 * The zero polynomial has an empty coefficient tuple and degree -1.
 
-Cyclotomic factorization is by repeated trial division, smallest index
-first, which is exact and fast at the degrees this package meets.
+``_divisor_table`` alone decides phi, mu and Phi_r(1).  Cyclotomic factoring
+is by repeated trial division, smallest index first, exact and fast at the
+degrees this package meets; its trial list sieves phi in one pass.
 ``_power_series`` is the one power kernel: polynomial powers, ``witt_scale``
 and the T/L basis substitutions of ``torified`` all run through it.
 """
@@ -355,39 +356,33 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _divisor_table(n: int) -> dict[int, tuple[int, int, int]]:
+    """Every divisor r of n, ascending, mapped to (phi(r), mu(r), Phi_r(1))
+    from one factorization of n: Phi_r(1) is p for r = p^a, 0 for r = 1,
+    else 1."""
+    table = {1: (1, 1, 0)}
+    for p, e in factorize(n).items():
+        for r, (phi, mu, _) in list(table.items()):
+            q = r
+            for a in range(1, e + 1):
+                q *= p
+                table[q] = (phi * (p - 1) * p ** (a - 1), -mu if a == 1 else 0, p if r == 1 else 1)
+    return dict(sorted(table.items()))
+
+
 def divisors(n: int) -> list[int]:
-    """Ascending list of positive divisors."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """Ascending list of positive divisors; empty for n <= 0."""
+    return list(_divisor_table(n)) if n > 0 else []
 
 
 def moebius(n: int) -> int:
     """Moebius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
-    if n < 1:
-        raise ValueError("moebius needs n >= 1")
-    mu = 1
-    for _, e in factorize(n).items():
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
+    return _divisor_table(n)[n][1]
 
 
 def totient(n: int) -> int:
     """Euler totient; also the degree of cyclotomic(n)."""
-    if n < 1:
-        raise ValueError("totient needs n >= 1")
-    phi = n
-    for p in factorize(n):
-        phi -= phi // p
-    return phi
+    return _divisor_table(n)[n][0]
 
 
 def stirling2(k: int, r: int) -> int:
@@ -417,12 +412,11 @@ def cyclotomic(m: int) -> Polynomial:
     series truncated at degree phi(m): multiplying by 1 - t^d and dividing
     by it are in-place integer updates (Arnold-Monagan, Math. Comp. 2011).
     """
-    if m < 1:
-        raise ValueError("cyclotomic needs m >= 1")
-    n = totient(m)
+    table = _divisor_table(m)
+    n = table[m][0]
     a = [1] + [0] * n
-    for d in divisors(m):
-        mu = moebius(m // d)
+    for d in table:
+        mu = table[m // d][1]
         if mu == 1:
             for i in range(n, d - 1, -1):
                 a[i] -= a[i - d]
@@ -435,24 +429,17 @@ def cyclotomic(m: int) -> Polynomial:
     return num
 
 
-def _cyclotomic_at_2(d: int) -> int:
-    """Phi_d(2) = prod_{e | d} (2^e - 1)^mu(d/e), without building Phi_d."""
-    num = den = 1
-    for e in divisors(d):
-        mu = moebius(d // e)
-        if mu == 1:
-            num *= (1 << e) - 1
-        elif mu == -1:
-            den *= (1 << e) - 1
-    return num // den
-
-
 @lru_cache(maxsize=None)
 def _factor_trials(deg: int) -> tuple[tuple[int, int, int], ...]:
     """The triples (d, phi(d), Phi_d(2)) with phi(d) <= deg, ascending in d."""
     # totient(d) >= sqrt(d/2), so indices beyond 2*deg^2 + 1 cannot qualify.
-    return tuple((d, phi, _cyclotomic_at_2(d))
-                 for d in range(1, 2 * deg * deg + 2) if (phi := totient(d)) <= deg)
+    top = 2 * deg * deg + 1
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:  # untouched by a smaller prime, so p is prime
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    return tuple((d, phi[d], cyclotomic(d)(2)) for d in range(1, top + 1) if phi[d] <= deg)
 
 
 def cyclotomic_factor(p: Polynomial) -> list[int]:

@@ -8,8 +8,8 @@ stderr, matching argparse's own convention.  Exact numbers have one parser
 and one printer, ``errors._number`` and ``errors._numstr``, used by every
 library ``from_json``/``to_json`` and the helpers here: a payload number is
 a JSON integer or a string ``-?digits(/digits)?``, and an output number
-longer than Python will print is the domain failure LimitExceeded (for a
-JSON integer, raised at the final ``json.dumps``).
+past bcwitt's digit limit (``errors._MAX_STR_DIGITS``, set by ``main``) is
+the domain failure LimitExceeded (at the final ``json.dumps`` for an int).
 
 Every subcommand is declared once, in ``COMMANDS``: its plain flags, its
 JSON payload flags and its handler.  Any payload flag accepts ``@FILE`` to
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -236,7 +237,8 @@ def _equivariant_check(args, data: dict) -> dict:
         raise UsageError(f"--kmax must be >= 1, not {kmax}")
     shifted = eq.sigma_action(n, a)
     spread = eq.verschiebung_action(n, a)
-    for k in range(1, kmax + 1):
+    # Periodic points depend on which orbit sizes divide k: period n*lcm.
+    for k in range(1, min(kmax, n * math.lcm(*a.orbit_type())) + 1):
         if eq.periodic_points(shifted, k) != eq.periodic_points(a, n * k):
             return {"ok": False, "failed": f"sigma periodic points at k={k}"}
         pp = eq.periodic_points(spread, k)
@@ -369,7 +371,11 @@ def run(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # Python before 3.10.7 has no digit limit to set.
+    old = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
+        if old is not None:
+            sys.set_int_max_str_digits(lib.errors._MAX_STR_DIGITS)
         return run(argv)
     except UsageError as exc:
         print(f"bcwitt: {exc}", file=sys.stderr)
@@ -381,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": {"kind": exc.kind, "detail": exc.detail}},
                          separators=(",", ":")))
         return 1
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 if __name__ == "__main__":

@@ -22,8 +22,9 @@ closed form: with m = lcm(m_i),
     F_k = prod_i Phi_{m_i/(k, m_i)}(1) ^ (phi(m_i)/phi(m_i/(k, m_i))),
 
 where Phi_r(1) is p for a prime power r = p^a, 0 for r = 1 (so F_k = 0
-when some m_i divides k) and 1 otherwise.  The expansion of
-the closed form is checked against the exponential series in the tests.
+when some m_i divides k) and 1 otherwise, as ``arith._divisor_table`` gives
+them with phi and mu.  The expansion of the closed form is checked against
+the exponential series in the tests.
 
 The spectral Euler characteristic of a quasi-unipotent matrix collects its
 eigenvalues (all roots of unity) into the group ring of Q/Z: each factor
@@ -38,7 +39,7 @@ import math
 from collections import Counter
 from typing import TYPE_CHECKING, Literal, Sequence
 
-from .arith import cyclotomic_factor, factorize
+from .arith import _divisor_table, cyclotomic_factor
 from .errors import DegenerateIterate, _json_list, _number, _numstr
 from . import linalg
 from .linalg import Matrix
@@ -114,29 +115,21 @@ class LefschetzZeta(Record):
 def lefschetz_zeta_closed(f: ToralMap) -> LefschetzZeta:
     """Exact closed form for a quasi-unipotent toral map."""
     indices = cyclotomic_factor(linalg.charpoly(f.matrix))
-    if not indices:
-        return LefschetzZeta.of({})
-    # Every divisor r of m = lcm(m_i), built from the one factorization of m,
-    # with phi(r), mu(r) and Phi_r(1); each reduced index m_i/(k, m_i) is one.
-    phi, mu, at_one = {1: 1}, {1: 1}, {1: 0}
-    for p, e in factorize(math.lcm(*indices)).items():
-        for r in list(phi):
-            q = r
-            for a in range(1, e + 1):
-                q *= p
-                phi[q] = phi[r] * (p - 1) * p ** (a - 1)
-                mu[q] = -mu[r] if a == 1 else 0
-                at_one[q] = p if r == 1 else 1
+    # Every divisor of m = lcm(m_i) (m = 1 for the 0-torus, whose zeta is
+    # 1/(1 - t)) with (phi, mu, Phi(1)); each reduced index m_i/(k, m_i) is one.
+    table = _divisor_table(math.lcm(*indices))
     f_k = {}
-    for k in phi:
+    for k in table:
         acc = 1
         for mi in indices:
-            reduced = mi // math.gcd(k, mi)
-            acc *= at_one[reduced] ** (phi[mi] // phi[reduced])
+            phi_r, _, at_one = table[mi // math.gcd(k, mi)]
+            acc *= at_one ** (table[mi][0] // phi_r)
         f_k[k] = acc
+    # s_d d = sum over e | d of mu(e) F_{d/e}, and mu(e) = 0 unless e is squarefree.
+    squarefree = [(e, mu) for e, (_, mu, _) in table.items() if mu]
     exponents = {}
-    for d in phi:
-        total = sum(f_k[k] * mu[d // k] for k in phi if d % k == 0)
+    for d in table:
+        total = sum(mu * f_k[d // e] for e, mu in squarefree if d % e == 0)
         if total % d:
             raise ArithmeticError(f"closed-form exponent {total}/{d} is not an integer")
         exponents[d] = total // d

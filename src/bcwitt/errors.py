@@ -5,7 +5,7 @@ of the API) derives from DomainError, so callers such as the CLI can map
 them uniformly to ``{"error": {"kind": ..., "detail": ...}}`` payloads.
 The ``kind`` is the class name.  Exact numbers cross JSON here alone:
 payload readers parse them with ``_number`` and writers print them with
-``_numstr``, which raises LimitExceeded past Python's int -> str limit.
+``_numstr``, which raises LimitExceeded past the digit limit in force.
 """
 
 from __future__ import annotations
@@ -49,8 +49,12 @@ def _digits(n: int) -> int:
     return d
 
 
+# The decimal digits of one int that a CLI call reads or prints.
+_MAX_STR_DIGITS = 4300
+
+
 def _too_long(numbers) -> LimitExceeded:
-    """The error for output ints past Python's int -> str digit limit."""
+    """The error for output ints past the int -> str digit limit in force."""
     return LimitExceeded("decimal digits of an output number",
                          sys.get_int_max_str_digits(), _digits(max(numbers, key=abs)))
 
@@ -108,8 +112,8 @@ class DegenerateIterate(DomainError):
 
 
 class LimitExceeded(DomainError):
-    """A value passes a fixed limit, such as the decimal digits Python will
-    print of an int (``sys.get_int_max_str_digits()``)."""
+    """A value passes a fixed limit, such as the decimal digits of an
+    output int (``_MAX_STR_DIGITS`` under ``cli.main``)."""
 
     def __init__(self, what: str, limit: int, value: int):
         super().__init__(f"{what}: {value} exceeds the limit {limit}")

@@ -329,7 +329,10 @@ class RationalWitt(Record):
             series_div(self.num.coeffs[1:], self.den.coeffs[1:], trunc)))
 
     def ghosts(self, trunc: int) -> GhostVector:
-        return ghost(self.expand(trunc))
+        """ghost(num) - ghost(den), since ghost sends products to sums."""
+        num, den = (ghost(WittVector.from_coeffs(p.coeffs[1:], trunc)).values
+                    for p in (self.num, self.den))
+        return GhostVector.of([a - b for a, b in zip(num, den)])
 
     def witt_add(self, other: "RationalWitt") -> "RationalWitt":
         return RationalWitt.of(self.num * other.num, self.den * other.den)

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from typing import Union
 
-from .arith import Polynomial
+from .arith import _MAX_POWER_DEGREE, Polynomial
+from .errors import LimitExceeded
 from .torified import TorifiedClass, _l_poly, f1m_points
 from .witt import GhostVector, RationalWitt, WittVector, ghost_divide, unghost
 from .record import Record
@@ -91,6 +92,9 @@ def hw_zeta(c: TorifiedClass, q: QParam, trunc: int = 12) -> HWZeta:
                         for m in range(1, trunc + 1)])
     if symbolic:
         return HWZeta(g, None)
+    # The rational form has degree sum |e_j|, though each factor may be under the bound.
+    if (degree := sum(map(abs, e.coeffs))) > _MAX_POWER_DEGREE:
+        raise LimitExceeded("degree of a polynomial power", _MAX_POWER_DEGREE, degree)
     num = den = Polynomial([1])
     for j, ej in enumerate(e.coeffs):
         factor = Polynomial([1, -(q**j)]) ** abs(ej)

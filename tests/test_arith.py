@@ -7,6 +7,8 @@ import pytest
 
 from bcwitt.arith import (
     Polynomial,
+    _divisor_table,
+    _factor_trials,
     cyclotomic,
     cyclotomic_factor,
     divisors,
@@ -171,6 +173,55 @@ def test_cyclotomic_factor_matches_trial_loop():
         polys.append(p)
     for p in polys:
         assert outcome(cyclotomic_factor, p) == outcome(_cyclotomic_factor_oracle, p)
+
+
+def test_divisor_table_against_brute_force():
+    """Divisors by a scan, phi by a gcd count, mu by a squarefree count of
+    primes and Phi_r(1) as the value of the cyclotomic polynomial."""
+    top = 2000
+    phi = [0] + [sum(math.gcd(a, r) == 1 for a in range(1, r + 1)) for r in range(1, top + 1)]
+
+    def mu(r):
+        primes = [p for p in range(2, r + 1) if r % p == 0 and all(p % q for q in range(2, p))]
+        return 0 if any(r % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+    rows = {r: (phi[r], mu(r), cyclotomic(r)(1)) for r in range(1, top + 1)}
+    for n in range(1, top + 1):
+        table = _divisor_table(n)
+        assert list(table) == [r for r in range(1, n + 1) if n % r == 0]
+        assert table == {r: rows[r] for r in table}
+
+
+def test_divisors_moebius_totient_edges():
+    for n in range(-3, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    for f in (moebius, totient, cyclotomic):
+        for n in (0, -1, -12):
+            with pytest.raises(ValueError):
+                f(n)
+
+
+def _factor_trials_oracle(deg, phis):
+    """The trial list as it was built before the phi sieve: a totient per d
+    (from phis), and Phi_d(2) as the Moebius product of the 2^e - 1."""
+    out = []
+    for d in range(1, 2 * deg * deg + 2):
+        if phis[d] > deg:
+            continue
+        num = den = 1
+        for e in divisors(d):
+            if moebius(d // e) == 1:
+                num *= (1 << e) - 1
+            elif moebius(d // e) == -1:
+                den *= (1 << e) - 1
+        out.append((d, phis[d], num // den))
+    return tuple(out)
+
+
+def test_factor_trials_match_the_totient_scan():
+    phis = {d: totient(d) for d in range(1, 2 * 60 * 60 + 2)}
+    for deg in range(61):
+        assert _factor_trials(deg) == _factor_trials_oracle(deg, phis)
 
 
 def test_polynomial_arithmetic():

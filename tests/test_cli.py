@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 import time
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from bcwitt import equivariant, errors, qz
 from bcwitt.cli import COMMANDS, _FLAGS, main
 from bcwitt.errors import _digits, _number, _too_long
 
@@ -207,10 +209,10 @@ def test_domain_error_exit_code(capsys):
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python prints ints of any length")
-def test_output_past_the_digit_limit(capsys):
-    """A valid call whose output holds a number longer than Python will
-    print exits 1 with LimitExceeded: from a numeric string, from a JSON
-    integer, from a count, and from each library printer."""
+def test_output_past_the_digit_limit(capsys, monkeypatch):
+    """A valid call whose output holds a number past bcwitt's digit limit
+    exits 1 with LimitExceeded: from a numeric string, from a JSON integer,
+    from a count, and from each library printer."""
     big = "7" * 400
     elem = '{"terms":[{"r":"1/2","c":%s}]}' % big
     witt = json.dumps({"trunc": 1, "coeffs": [big]})
@@ -224,19 +226,95 @@ def test_output_past_the_digit_limit(capsys):
         (("qz", "mul", "--a", point % big, "--b", point % ("1" + "0" * 399)), 799),
         (("qz", "rho", "--n", "2", "--elem", point % ("7" * 640)), 641),
     ]
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
+    with monkeypatch.context() as m:
+        m.setattr(errors, "_MAX_STR_DIGITS", 640)
         for argv, digits in calls:
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (1, "")
             assert json.loads(out) == {"error": {
                 "kind": "LimitExceeded",
                 "detail": f"decimal digits of an output number: {digits} exceeds the limit 640"}}
-    finally:
-        sys.set_int_max_str_digits(old)
     for argv, _ in calls:
         assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints ints of any length")
+def test_digit_limit_is_restored(capsys):
+    """main applies bcwitt's limit for the call alone: the caller's own
+    setting holds after it, on success and on failure."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        calls = [(("qz", "sigma", "--n", "2", "--elem", '{"terms":[{"r":"1/3","c":1}]}'), 0),
+                 (("endo", "frobenius", "--n", "20000", "--matrix", '{"matrix":["2"]}'), 1)]
+        for argv, code in calls:
+            assert run_cli(capsys, *argv)[0] == code
+            assert sys.get_int_max_str_digits() == 0
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _equivariant_check_oracle(a, n, kmax):
+    """The check with its k loop run to kmax, as before it stopped at the
+    period n * lcm(orbit sizes)."""
+    shifted = equivariant.sigma_action(n, a)
+    spread = equivariant.verschiebung_action(n, a)
+    for k in range(1, kmax + 1):
+        if equivariant.periodic_points(shifted, k) != equivariant.periodic_points(a, n * k):
+            return {"ok": False, "failed": f"sigma periodic points at k={k}"}
+        pp = equivariant.periodic_points(spread, k)
+        if k % n:
+            expected = frozenset()
+        else:
+            base = equivariant.periodic_points(a, k // n)
+            expected = frozenset(j * a.size + s for j in range(n) for s in base)
+        if pp != expected:
+            return {"ok": False, "failed": f"verschiebung periodic points at k={k}"}
+    base_euler = equivariant.euler_char(a)
+    if equivariant.euler_char(shifted) != qz.sigma(n, base_euler):
+        return {"ok": False, "failed": "sigma euler intertwining"}
+    if equivariant.euler_char(spread) != qz.rho(n, base_euler):
+        return {"ok": False, "failed": "verschiebung euler intertwining"}
+    return {"ok": True, "n": n, "kmax": kmax}
+
+
+def test_equivariant_check_stops_at_the_period(capsys, monkeypatch):
+    """Looping k to min(kmax, n * lcm) gives the full loop's answer, also
+    when a check fails, with the same first failing k."""
+    rng = random.Random(23)
+    cases = []
+    for _ in range(120):
+        sizes = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+        points = rng.sample(range(sum(sizes)), sum(sizes))
+        perm, start = [0] * len(points), 0
+        for size in sizes:
+            cycle = points[start:start + size]
+            for s, t in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[s] = t
+            start += size
+        level = math.lcm(*sizes) * rng.randint(1, 3)
+        cases.append((equivariant.CyclicAction.of(level, perm), rng.randint(1, 4),
+                      rng.randint(1, 80)))
+    # Wrong shifted or spread actions, built from orbits of a as the real
+    # ones are, make the checks fail at some k within the period.
+    CyclicAction = equivariant.CyclicAction
+    faults = {
+        "sigma_action": lambda n, a: CyclicAction(a.level, a.power(n + 1)),
+        "verschiebung_action": lambda n, a: CyclicAction(
+            a.level * n, tuple(range(a.size, n * a.size)) + a.power(2)),
+    }
+    failed = set()
+    for fault in (None, *faults):
+        with monkeypatch.context() as m:
+            if fault:
+                m.setattr(equivariant, fault, faults[fault])
+            for a, n, kmax in cases:
+                data = run_json(capsys, "equivariant", "check", "--n", str(n),
+                                "--kmax", str(kmax), "--action", json.dumps(a.to_json()))
+                assert data == _equivariant_check_oracle(a, n, kmax)
+                failed.add(data.get("failed", "").split(" at ")[0])
+    assert failed >= {"", "sigma periodic points", "verschiebung periodic points"}
 
 
 def test_digit_count():

@@ -76,9 +76,14 @@ EXPORTED = """
 """.split()
 
 
-def fresh_python(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("BCWITT_TRUNC", None)
+def fresh_python(*args: str, timeout: float = 60,
+                 env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run python with the package on its path, the settings that change a
+    call's outcome unset, and then the variables in env."""
+    base = dict(os.environ, PYTHONPATH=SRC)
+    base.pop("BCWITT_TRUNC", None)
+    base.pop("PYTHONINTMAXSTRDIGITS", None)
+    env = {**base, **(env or {})}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           stdin=subprocess.DEVNULL, timeout=timeout)
 
@@ -104,6 +109,22 @@ def test_output_past_the_default_digit_limit():
                         "--k", "100000", "--q", "3", "--trunc", "5")
     assert (done.returncode, done.stderr) == (1, "")
     assert json.loads(done.stdout)["error"]["kind"] == "LimitExceeded"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python prints ints of any length")
+def test_digit_limit_does_not_depend_on_the_interpreter():
+    """2^20000 has 6021 digits: past bcwitt's limit of 4300 whether the
+    interpreter's own limit is the default or off (0)."""
+    argv = ["-m", "bcwitt.cli", "endo", "frobenius", "--n", "20000",
+            "--matrix", '{"matrix":["2"]}']
+    runs = [fresh_python(*argv, env=env) for env in ({}, {"PYTHONINTMAXSTRDIGITS": "0"})]
+    for done in runs:
+        assert (done.returncode, done.stderr) == (1, "")
+        assert json.loads(done.stdout) == {"error": {
+            "kind": "LimitExceeded",
+            "detail": "decimal digits of an output number: 6021 exceeds the limit 4300"}}
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_exponent_string_is_malformed():

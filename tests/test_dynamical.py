@@ -52,6 +52,8 @@ def test_lefschetz_numbers():
     assert lefschetz_numbers(empty, 5) == [1] * 5
     assert lefschetz_zeta_series(empty, 4).coeffs == (1, 1, 1, 1)
     assert artin_mazur_series(empty, 4).coeffs == (1, 1, 1, 1)
+    assert lefschetz_zeta_closed(empty).exponents == ((1, 1),)
+    assert lefschetz_zeta_closed(empty).expand(4) == lefschetz_zeta_series(empty, 4)
     with pytest.raises(ValueError):
         lefschetz_numbers(ROT, 0)
     # Degenerate iterates: the first n with det(I - M^n) = 0.

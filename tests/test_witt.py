@@ -173,6 +173,21 @@ def test_rational_expand():
     assert r.ghosts(4).values == (1, 3, 7, 15)  # 2^m - 1
 
 
+def test_rational_ghosts_are_ghost_of_the_expansion():
+    """ghosts(N) takes ghost(num) - ghost(den) on the sides cut or padded
+    to N; it must equal the ghosts of the expanded series, value and type."""
+    rng = random.Random(419)
+    for _ in range(60):
+        sides = [[1] + [rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5),
+                                                                 rng.randint(1, 6))))
+                        for _ in range(rng.randint(0, 6))] for _ in range(2)]
+        r = RationalWitt.of(*sides)
+        for trunc in (1, 2, 5, 9):
+            got, want = r.ghosts(trunc), ghost(r.expand(trunc))
+            assert got == want
+            assert list(map(type, got.values)) == list(map(type, want.values))
+
+
 def test_rational_div():
     # ((1-t)/(1-3t)) / (1-t)^-2 = (1-t)^3/(1-3t); ghosts 3^m - 3.
     p = RationalWitt.of([1, -1], [1, -3])

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from bcwitt import zeta
 from bcwitt.arith import Polynomial, stirling2
+from bcwitt.errors import LimitExceeded
 from bcwitt.torified import TorifiedClass
 from bcwitt.witt import GhostVector, RationalWitt, ghost, series_div
 from bcwitt.zeta import (
@@ -97,6 +99,22 @@ def test_hw_rational_is_reduced():
         for _ in range(10):
             z = hw_zeta(random_class(rng, degree=4, bound=3), q, trunc=4).rational
             assert z == RationalWitt.of(z.num, z.den)
+
+
+def test_hw_rational_degree_bound():
+    """The rational form has degree sum |e_j|: at 2^15 it is built, past it
+    LimitExceeded is raised before any factor, even when each factor is
+    under the bound (T^30 at q = 3 has degree 2^30)."""
+    at = hw_zeta(TorifiedClass.of([2**15]), 2, trunc=2)
+    assert at.rational.den.degree == 2**15
+    for c, degree in [([2**15 + 1, 2**14], 2**15 + 1),  # sum |e_j| = 2^14 + 1 + 2^14
+                      ([0] * 30 + [1], 2**30)]:
+        start = time.perf_counter()
+        with pytest.raises(LimitExceeded) as exc:
+            hw_zeta(TorifiedClass.of(c), 3, trunc=3)
+        assert time.perf_counter() - start < 1
+        assert (exc.value.limit, exc.value.value) == (2**15, degree)
+    assert hw_zeta(TorifiedClass.of([0] * 30 + [1]), "q", trunc=2).rational is None
 
 
 def test_hw_symbolic():
