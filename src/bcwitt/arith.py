@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .errors import LimitExceeded, NotQuasiUnipotent
+from .errors import NotQuasiUnipotent, _size
 
 Coeff = Union[int, Fraction]
 
@@ -44,11 +44,6 @@ def _norm_coeff(c: Coeff) -> Coeff:
 # denominators the Fraction path carries: 1/m at N = 120 needs E ~ 2^155
 # and ran 6x slower.  No such E is taken.
 _CLEAR_MAX_BITS = 64
-
-# The largest degree of a polynomial power, checked before any work: a
-# hostile L-exponent or cell dimension would otherwise grow a dense list
-# until memory runs out.
-_MAX_POWER_DEGREE = 2**15
 
 
 @lru_cache(maxsize=None)
@@ -217,11 +212,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        if self.degree * n > _MAX_POWER_DEGREE:
-            raise LimitExceeded("degree of a polynomial power", _MAX_POWER_DEGREE,
-                                self.degree * n)
+        _size("degree of a polynomial power", self.degree * _size("exponent", n))
         if not self.coeffs:  # 0^0 = 1
             return self if n else Polynomial([1])
         v = next(i for i, c in enumerate(self.coeffs) if c)  # P = t^v P0, P0(0) != 0
@@ -265,9 +256,7 @@ class Polynomial:
 
     def substitute_power(self, n: int) -> "Polynomial":
         """Return p(t^n)."""
-        if n < 1:
-            raise ValueError("power substitution needs n >= 1")
-        out = [0] * (len(self.coeffs) * n)
+        out = [0] * (len(self.coeffs) * _size("index", n))
         for k, c in enumerate(self.coeffs):
             out[k * n] = c
         return Polynomial(out)
@@ -342,8 +331,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; enough for desk-scale indices."""
-    if n < 1:
-        raise ValueError("factorize needs n >= 1")
+    _size("index", n)
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -391,9 +379,7 @@ def stirling2(k: int, r: int) -> int:
     Computed from the alternating binomial sum
     r! * S(k,r) = sum_{j=0..r} (-1)^(r-j) C(r,j) j^k, with 0^0 = 1.
     """
-    if k < 0 or r < 0:
-        raise ValueError("stirling2 needs nonnegative arguments")
-    if r > k:
+    if _size("exponent", r) > _size("exponent", k):
         return 0
     total = 0
     for j in range(r + 1):

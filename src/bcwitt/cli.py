@@ -32,7 +32,7 @@ import os
 import sys
 
 import bcwitt as lib
-from .errors import DomainError, _numstr, _too_long
+from .errors import DomainError, _integer, _numstr, _size, _too_long
 
 DEFAULT_TRUNC = 12
 
@@ -42,14 +42,9 @@ class UsageError(Exception):
 
 
 def _default_trunc() -> int:
-    env = os.environ.get("BCWITT_TRUNC")
-    if env is None:
-        return DEFAULT_TRUNC
+    env = os.environ.get("BCWITT_TRUNC", str(DEFAULT_TRUNC))
     try:
-        value = int(env)
-        if value < 1:
-            raise ValueError
-        return value
+        return _size("truncation", int(env), ceiling=False)  # checked where it is used
     except ValueError:
         raise UsageError(f"BCWITT_TRUNC must be a positive integer, not {env!r}")
 
@@ -175,8 +170,8 @@ def _class_points(args, cls: dict) -> dict:
     return {"count": _numstr(lib.f1m_points(_parse_class(cls), args.m))}
 
 
-def _class_bb(args, pieces: list) -> dict:
-    return lib.bb_assemble([(_parse_class(p["class"]), int(p["d"])) for p in pieces]).to_json()
+def _class_bb(args, data: list) -> dict:
+    return lib.bb_assemble([(_parse_class(p["class"]), _integer(p["d"])) for p in data]).to_json()
 
 
 def _class_virtual(args, cls: dict) -> dict:
@@ -238,7 +233,9 @@ def _equivariant_check(args, data: dict) -> dict:
     shifted = eq.sigma_action(n, a)
     spread = eq.verschiebung_action(n, a)
     # Periodic points depend on which orbit sizes divide k: period n*lcm.
-    for k in range(1, min(kmax, n * math.lcm(*a.orbit_type())) + 1):
+    last = min(kmax, n * math.lcm(*a.orbit_type()))
+    _size("point visits of an equivariant check", last * spread.size)
+    for k in range(1, last + 1):
         if eq.periodic_points(shifted, k) != eq.periodic_points(a, n * k):
             return {"ok": False, "failed": f"sigma periodic points at k={k}"}
         pp = eq.periodic_points(spread, k)

@@ -40,7 +40,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Literal, Sequence
 
 from .arith import _divisor_table, cyclotomic_factor
-from .errors import DegenerateIterate, _json_list, _number, _numstr
+from .errors import DegenerateIterate, _json_list, _number, _numstr, _size
 from . import linalg
 from .linalg import Matrix
 from .witt import GhostVector, WittVector, _unghost, ghost, unghost, witt_add
@@ -77,8 +77,7 @@ class ToralMap(Record):
 
 def lefschetz_numbers(f: ToralMap, trunc: int) -> list[int]:
     """det(I - M^n) for n = 1..trunc, as F_n det(1 - t M) at t = 1."""
-    if trunc < 1:
-        raise ValueError("truncation must be >= 1")
+    _size("truncation", trunc)
     d = f.dim
     if d == 0:
         return [1] * trunc

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .arith import Polynomial, _primitive_int, divisors
-from .errors import NotSplit, _json_list, _number, _numstr
+from .errors import NotSplit, _json_list, _number, _numstr, _size
 from . import linalg
 from .linalg import Matrix
 from .witt import RationalWitt
@@ -91,18 +91,15 @@ def l_map(e: EndoObject) -> RationalWitt:
 
 
 def endo_frobenius(n: int, e: EndoObject) -> EndoObject:
-    if n < 1:
-        raise ValueError("endo_frobenius needs n >= 1")
-    return EndoObject(linalg.mat_pow(e.matrix, n))
+    return EndoObject(linalg.mat_pow(e.matrix, _size("index", n)))
 
 
 def endo_verschiebung(n: int, e: EndoObject) -> EndoObject:
     """The n x n block companion with e's matrix in the upper-right corner."""
-    if n < 1:
-        raise ValueError("endo_verschiebung needs n >= 1")
-    if n == 1:
+    if _size("index", n) == 1:
         return e
     d = e.dim
+    _size("matrix dimension", n * d)
 
     def entry(i: int, j: int):
         bi, bj = i // d, j // d

@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .errors import _json_list
+from .errors import _integer, _json_list, _size
 from .qz import QZElement, _primitive_points
 from .record import Record
 
@@ -51,9 +51,8 @@ class CyclicAction(Record):
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
-        if sorted(self.perm) != list(range(len(self.perm))):
+        _size("level", self.level)
+        if list(range(_size("points of an action", len(self.perm)))) != sorted(self.perm):
             raise ValueError("perm must be a permutation of 0..size-1")
         # Checked second: orbits() only ends on a permutation.
         if any(self.level % len(orbit) for orbit in self.orbits()):
@@ -78,8 +77,7 @@ class CyclicAction(Record):
 
     def power(self, k: int) -> tuple[int, ...]:
         """The permutation perm^k: each orbit rotated by k mod its length."""
-        if k < 0:
-            raise ValueError("negative power of a generator")
+        _size("exponent", k)
         out = [0] * self.size
         for orbit in self.orbits():
             r = k % len(orbit)
@@ -113,7 +111,7 @@ class CyclicAction(Record):
     @staticmethod
     def from_json(data: dict) -> "CyclicAction":
         perm = _json_list(data["perm"], "perm")
-        return CyclicAction.of(int(data["level"]), [int(x) for x in perm])
+        return CyclicAction.of(_integer(data["level"]), [_integer(x) for x in perm])
 
 
 class RelativeObject(Record):
@@ -159,16 +157,14 @@ class RelativeObject(Record):
     def from_json(data: dict) -> "RelativeObject":
         return RelativeObject.of(CyclicAction.from_json(data["total"]),
                                  CyclicAction.from_json(data["base"]),
-                                 [int(x) for x in _json_list(data["map"], "map")])
+                                 [_integer(x) for x in _json_list(data["map"], "map")])
 
 
 # ------------------------------------------------------------- operations
 
 def sigma_action(n: int, a: CyclicAction) -> CyclicAction:
     """Precompose: the generator becomes perm^n, level unchanged."""
-    if n < 1:
-        raise ValueError("sigma_action needs n >= 1")
-    return CyclicAction(a.level, a.power(n))
+    return CyclicAction(a.level, a.power(_size("index", n)))
 
 
 def verschiebung_action(n: int, a: CyclicAction) -> CyclicAction:
@@ -176,16 +172,14 @@ def verschiebung_action(n: int, a: CyclicAction) -> CyclicAction:
     j*size + s.  The generator advances the copy index (index + size) and
     sends the last copy through the old generator, so its n-th power is
     perm x id."""
-    if n < 1:
-        raise ValueError("verschiebung_action needs n >= 1")
+    _size("points of an action", _size("index", n) * a.size)
     return CyclicAction(a.level * n, tuple(range(a.size, n * a.size)) + a.perm)
 
 
 def periodic_points(a: CyclicAction, k: int) -> frozenset[int]:
     """Fixed points of the k-th power of the generator: the union of the
     orbits whose length divides k."""
-    if k < 1:
-        raise ValueError("periodic_points needs k >= 1")
+    _size("period", k)
     return frozenset(s for orbit in a.orbits() if not k % len(orbit) for s in orbit)
 
 

@@ -1,11 +1,18 @@
-"""Domain errors, and the text form of exact numbers at the JSON edge.
+"""Domain errors, the range of every size, and exact numbers at the JSON edge.
 
 Every error that a computation can raise by design (as opposed to a misuse
 of the API) derives from DomainError, so callers such as the CLI can map
 them uniformly to ``{"error": {"kind": ..., "detail": ...}}`` payloads.
 The ``kind`` is the class name.  Exact numbers cross JSON here alone:
-payload readers parse them with ``_number`` and writers print them with
-``_numstr``, which raises LimitExceeded past the digit limit in force.
+payload readers parse them with ``_number`` (``_integer`` for an integer
+field) and writers print them with ``_numstr``, which raises
+LimitExceeded past the digit limit in force.
+
+``_SIZES`` alone decides the range of every size-like argument, named by
+what it counts, and ``_size`` checks a value before any work: ValueError
+below the range (exit 2 at the CLI), LimitExceeded above it (exit 1).
+A ceiling applies where a caller's size enters, and in a record's invariant
+only if no internal result passes it: an action's points, not a truncation.
 """
 
 from __future__ import annotations
@@ -36,6 +43,13 @@ def _number(x) -> int | Fraction:
         raise ValueError(f"{x!r} is not an integer or a fraction p/q")
     f = Fraction(int(num), int(den or 1))
     return f.numerator if f.denominator == 1 else f
+
+
+def _integer(x) -> int:
+    """A payload integer: ``_number`` of x, which must be integral."""
+    if type(n := _number(x)) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return n
 
 
 def _digits(n: int) -> int:
@@ -112,10 +126,40 @@ class DegenerateIterate(DomainError):
 
 
 class LimitExceeded(DomainError):
-    """A value passes a fixed limit, such as the decimal digits of an
-    output int (``_MAX_STR_DIGITS`` under ``cli.main``)."""
+    """A value passes a fixed limit: a ceiling of ``_SIZES``, or the decimal
+    digits of an output int (``_MAX_STR_DIGITS`` under ``cli.main``)."""
 
     def __init__(self, what: str, limit: int, value: int):
         super().__init__(f"{what}: {value} exceeds the limit {limit}")
         self.limit = limit
         self.value = value
+
+
+# What a size-like argument counts -> its least and largest value (None: no bound).
+_SIZES = {
+    "index": (1, None),  # n of sigma, rho, F, V and pi; t -> t^n; factorize
+    "exponent": (0, None),  # powers of a polynomial, matrix or generator
+    "truncation": (1, 2**9),
+    "level": (1, None),
+    "period": (1, None),
+    "extension degree": (1, None),
+    "cell dimension": (0, None),
+    "q": (2, None),
+    "degree of a polynomial power": (None, 2**15),  # the zero polynomial's is -1
+    "points of an action": (0, 2**16),
+    "matrix dimension": (0, 64),
+    "terms of a Q/Z element": (0, 2**16),
+    "prime of a split": (2, 2**40),  # factorize trial-divides to its root
+    "point visits of an equivariant check": (0, 2**20),
+}
+
+
+def _size(what: str, value: int, ceiling: bool = True) -> int:
+    """value, if it lies in the range of ``_SIZES[what]``; with ceiling false,
+    only the least value is checked."""
+    least, largest = _SIZES[what]
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, not {value}")
+    if ceiling and largest is not None and value > largest:
+        raise LimitExceeded(what, largest, value)
+    return value

@@ -18,6 +18,7 @@ from operator import add, itemgetter, mul
 from typing import Sequence, Union
 
 from .arith import Polynomial, _norm_coeff, _unclear
+from .errors import _size
 
 Entry = Union[int, Fraction]
 Matrix = tuple[tuple[Entry, ...], ...]
@@ -45,6 +46,7 @@ _SQUARES = tuple(p * p for p in _PRIMES)
 
 
 def as_matrix(rows: Sequence[Sequence[Entry]]) -> Matrix:
+    _size("matrix dimension", len(rows))
     mat = tuple(tuple(Fraction(x) if not isinstance(x, (int, Fraction)) else x for x in row)
                 for row in rows)
     if any(len(row) != len(mat) for row in mat):
@@ -78,9 +80,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_pow(a: Matrix, e: int) -> Matrix:
     """a^e, high bit first, with a the left factor (where mat_mul can skip
     its zeros) of each product by a.  Integral entries come out as ints."""
-    if e < 0:
-        raise ValueError("negative matrix power")
-    if not e:
+    if not _size("exponent", e):
         return identity(len(a))
     result = a
     for bit in bin(e)[3:]:

@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import _number, _numstr
+from .errors import _integer, _number, _numstr, _size
 from .record import Record, _canonical
 
 
@@ -124,29 +124,25 @@ class QZElement(Record):
 
     @staticmethod
     def from_json(data: dict) -> "QZElement":
-        return QZElement.from_terms([(_number(t["r"]), int(t["c"])) for t in data["terms"]])
+        return QZElement.from_terms([(_number(t["r"]), _integer(t["c"])) for t in data["terms"]])
 
 
 def sigma(n: int, a: QZElement) -> QZElement:
     """Ring endomorphism e(r) -> e(n r mod 1)."""
-    if n < 1:
-        raise ValueError("sigma needs n >= 1")
+    _size("index", n)
     return _element((_point(n * r.numerator, r.denominator), c) for r, c in a.terms)
 
 
 def rho(n: int, a: QZElement) -> QZElement:
     """Additive map e(r) -> sum over the n solutions of n r' = r."""
-    if n < 1:
-        raise ValueError("rho needs n >= 1")
+    _size("terms of a Q/Z element", _size("index", n) * len(a.terms))
     return _element((_point(r.numerator + j * r.denominator, n * r.denominator), c)
                     for r, c in a.terms for j in range(n))
 
 
 def pi_n_times_n(n: int) -> QZElement:
     """The integral idempotent representative n*pi_n = sum_{n r = 0} e(r)."""
-    if n < 1:
-        raise ValueError("pi_n_times_n needs n >= 1")
-    return QZElement.from_terms({Fraction(j, n): 1 for j in range(n)})
+    return QZElement.from_terms({Fraction(j, n): 1 for j in range(_size("index", n))})
 
 
 def _split_key(r: Fraction, primes: frozenset[int]) -> tuple[int, int, int, int]:
@@ -185,7 +181,7 @@ def split(primes: Iterable[int], a: QZElement) -> SplitQZElement:
     fset = frozenset(primes)
     if not fset:
         raise ValueError("split needs a nonempty set of primes")
-    if not all(p >= 2 and factorize(p) == {p: 1} for p in fset):
+    if not all(factorize(_size("prime of a split", p)) == {p: 1} for p in fset):
         raise ValueError("split needs a set of primes")
     terms = _canonical((_split_key(r, fset), c) for r, c in a.terms)
     return SplitQZElement(fset, tuple(((Fraction(x, b_smooth), Fraction(y, b_cop)), c)

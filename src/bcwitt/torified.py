@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .arith import Polynomial
-from .errors import HalfTwistPresent, NotEffectivelyTorified, _json_list, _number, _numstr
+from .errors import (HalfTwistPresent, NotEffectivelyTorified, _integer, _json_list, _number,
+                     _numstr, _size)
 from .record import Record, _canonical
 
 
@@ -76,7 +77,7 @@ class TorifiedClass(Record):
 
     @staticmethod
     def from_json(data: dict) -> "TorifiedClass":
-        return TorifiedClass.of(_json_list(data["T"], "T"))
+        return TorifiedClass.of([_integer(c) for c in _json_list(data["T"], "T")])
 
 
 class LClass(Record):
@@ -117,7 +118,7 @@ class LClass(Record):
             f = _number(key) * 2
             if f.denominator != 1:
                 raise ValueError(f"exponent {key} is not a half-integer")
-            pairs.append((int(f), int(c)))
+            pairs.append((int(f), _integer(c)))
         return LClass.from_doubled(pairs)
 
 
@@ -150,8 +151,7 @@ def l_to_t(c: LClass) -> TorifiedClass:
 
 def f1m_points(c: TorifiedClass, m: int) -> int:
     """Point count over the m-th extension: sum a_k m^k."""
-    if m < 1:
-        raise ValueError("extension degree must be >= 1")
+    _size("extension degree", m)
     return sum(a * m**k for k, a in enumerate(c.a))
 
 
@@ -161,9 +161,7 @@ def euler_characteristic(c: TorifiedClass) -> int:
 
 def bb_assemble(pieces: Iterable[tuple[TorifiedClass, int]]) -> TorifiedClass:
     """Assemble sum [Z_i] L^(d_i) in the T-basis: sum [Z_i] (T + 1)^(d_i)."""
-    terms = [(d, Polynomial(z.a)) for z, d in pieces]
-    if any(d < 0 for d, _ in terms):
-        raise ValueError("cell dimensions must be nonnegative")
+    terms = [(_size("cell dimension", d), Polynomial(z.a)) for z, d in pieces]
     return TorifiedClass.of(_expand(terms, Polynomial([1, 1])).coeffs)  # L = T + 1
 
 
@@ -179,19 +177,16 @@ class LeveledClass(Record):
     level: int
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
+        _size("level", self.level)
 
     def to_json(self) -> dict:
         return {"class": self.cls.to_json(), "level": self.level}
 
     @staticmethod
     def from_json(data: dict) -> "LeveledClass":
-        return LeveledClass(TorifiedClass.from_json(data["class"]), int(data["level"]))
+        return LeveledClass(TorifiedClass.from_json(data["class"]), _integer(data["level"]))
 
 
 def bc_rho(n: int, x: LeveledClass) -> LeveledClass:
     """Product with the n-point cycle: class times n, level times n."""
-    if n < 1:
-        raise ValueError("bc_rho needs n >= 1")
-    return LeveledClass(x.cls * n, x.level * n)
+    return LeveledClass(x.cls * _size("index", n), x.level * n)

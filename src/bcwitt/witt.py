@@ -56,7 +56,8 @@ from typing import Sequence, Union
 
 from .arith import (_CLEAR_MAX_BITS, Polynomial, _clear, _norm_coeff, _power_series, _unclear,
                     poly_gcd)
-from .errors import NotDivisible, TruncationTooSmall, _json_list, _number, _numstr
+from .errors import (NotDivisible, TruncationTooSmall, _integer, _json_list, _number, _numstr,
+                     _size)
 from .record import Record
 
 Scalar = Union[int, Fraction]
@@ -70,9 +71,7 @@ class WittVector(Record):
     coeffs: tuple[Scalar, ...]
 
     def __post_init__(self):
-        if self.trunc < 1:
-            raise ValueError("truncation must be >= 1")
-        if len(self.coeffs) != self.trunc:
+        if len(self.coeffs) != _size("truncation", self.trunc, ceiling=False):
             raise ValueError("coefficient list must have exactly trunc entries")
 
     @staticmethod
@@ -100,8 +99,9 @@ class WittVector(Record):
 
     @staticmethod
     def from_json(data: dict) -> "WittVector":
+        trunc = _size("truncation", _integer(data["trunc"]))
         coeffs = _json_list(data["coeffs"], "coeffs")
-        return WittVector.from_coeffs([_number(c) for c in coeffs], int(data["trunc"]))
+        return WittVector.from_coeffs([_number(c) for c in coeffs], trunc)
 
 
 class GhostVector(Record):
@@ -276,9 +276,7 @@ def teichmuller(a: Scalar, trunc: int) -> WittVector:
 
 def frobenius(n: int, w: WittVector) -> WittVector:
     """ghost(F_n w)_m = ghost(w)_{n m}; truncation shrinks to floor(N/n)."""
-    if n < 1:
-        raise ValueError("frobenius needs n >= 1")
-    m = w.trunc // n
+    m = w.trunc // _size("index", n)
     if m == 0:
         raise TruncationTooSmall(f"truncation {w.trunc} too small for Frobenius F_{n}")
     g = ghost(w)
@@ -287,10 +285,8 @@ def frobenius(n: int, w: WittVector) -> WittVector:
 
 def verschiebung(n: int, w: WittVector) -> WittVector:
     """V_n: P(t) -> P(t^n), keeping the stored truncation."""
-    if n < 1:
-        raise ValueError("verschiebung needs n >= 1")
     cs = [0] * w.trunc
-    for m in range(1, w.trunc // n + 1):
+    for m in range(1, w.trunc // _size("index", n) + 1):
         cs[m * n - 1] = w.coeffs[m - 1]
     return WittVector(w.trunc, tuple(cs))
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from typing import Union
 
-from .arith import _MAX_POWER_DEGREE, Polynomial
-from .errors import LimitExceeded
+from .arith import Polynomial
+from .errors import _size
 from .torified import TorifiedClass, _l_poly, f1m_points
 from .witt import GhostVector, RationalWitt, WittVector, ghost_divide, unghost
 from .record import Record
@@ -36,8 +36,7 @@ _Q = Polynomial([0, 1])
 
 def _require_symbolic(q: QParam) -> bool:
     if isinstance(q, int):
-        if q < 2:
-            raise ValueError("finite-field cardinality must be >= 2")
+        _size("q", q)
         return False
     if q in ("q", "sym", "symbolic"):
         return True
@@ -61,8 +60,7 @@ class HWZeta(Record):
 
 def f1_zeta(c: TorifiedClass, trunc: int) -> F1Zeta:
     """Ghosts sum a_k m^k for m = 1..trunc, and the matching series."""
-    if trunc < 1:
-        raise ValueError("truncation must be >= 1")
+    _size("truncation", trunc)
     g = GhostVector.of([f1m_points(c, m) for m in range(1, trunc + 1)])
     return F1Zeta(g, unghost(g))
 
@@ -73,9 +71,7 @@ def polylog_rational(k: int) -> tuple[Polynomial, Polynomial]:
     Returned as (num, den) with den = (1-t)^k: num has degree at most k, so
     it is den times the series sum_{m=1..k} m^(k-1) t^m cut after t^k.
     """
-    if k < 1:
-        raise ValueError("polylog_rational needs k >= 1")
-    den = Polynomial([1, -1]) ** k
+    den = Polynomial([1, -1]) ** _size("index", k)
     num = den * Polynomial([0, *(m ** (k - 1) for m in range(1, k + 1))])
     return Polynomial(num.coeffs[:k + 1]), den
 
@@ -87,14 +83,14 @@ def hw_zeta(c: TorifiedClass, q: QParam, trunc: int = 12) -> HWZeta:
     prod (1 - q^j t)^(-e_j).
     """
     symbolic = _require_symbolic(q)
+    _size("truncation", trunc)
     e = _l_poly(c)
     g = GhostVector.of([e.substitute_power(m) if symbolic else e(q**m)
                         for m in range(1, trunc + 1)])
     if symbolic:
         return HWZeta(g, None)
     # The rational form has degree sum |e_j|, though each factor may be under the bound.
-    if (degree := sum(map(abs, e.coeffs))) > _MAX_POWER_DEGREE:
-        raise LimitExceeded("degree of a polynomial power", _MAX_POWER_DEGREE, degree)
+    _size("degree of a polynomial power", sum(map(abs, e.coeffs)))
     num = den = Polynomial([1])
     for j, ej in enumerate(e.coeffs):
         factor = Polynomial([1, -(q**j)]) ** abs(ej)
@@ -107,16 +103,14 @@ def hw_zeta(c: TorifiedClass, q: QParam, trunc: int = 12) -> HWZeta:
 
 
 def z0(k: int, q: QParam, trunc: int = 12) -> GhostVector:
-    """Ghosts of (1 - t)^(-(q-1)^k): the constant (q-1)^k."""
-    if k < 0:
-        raise ValueError("z0 needs k >= 0")
+    """Ghosts of (1 - t)^(-(q-1)^k): the constant (q-1)^k, of degree k in q."""
+    _size("degree of a polynomial power", _size("exponent", k))
     return GhostVector.of([(_q_value(q) - 1) ** k] * trunc)
 
 
 def z1(k: int, q: QParam, trunc: int = 12) -> GhostVector:
     """Ghosts (1 + q + ... + q^(m-1))^k, the projective point-counts to the k."""
-    if k < 0:
-        raise ValueError("z1 needs k >= 0")
+    _size("exponent", k)
     qv = _q_value(q)
     values, points = [], 0
     for _ in range(trunc):
@@ -132,8 +126,9 @@ def hw_quotient_check(k: int, q: QParam, trunc: int = 12) -> GhostVector:
     division), not Witt subtraction.
     """
     qv = _q_value(q)
-    divisor = z0(k, q, trunc)
-    # The torus ghosts (q^m - 1)^k, read straight off the class T^k.
+    divisor = z0(k, q, _size("truncation", trunc))
+    # The torus ghosts (q^m - 1)^k of the class T^k have degree k m in q, integer q or not.
+    _size("degree of a polynomial power", k * trunc)
     torus = GhostVector.of([(qv**m - 1) ** k for m in range(1, trunc + 1)])
     quotient = ghost_divide(torus, divisor)
     if quotient != z1(k, q, trunc):

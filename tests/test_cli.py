@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bcwitt import equivariant, errors, qz
+from bcwitt import LeveledClass, equivariant, errors, qz
 from bcwitt.cli import COMMANDS, _FLAGS, main
 from bcwitt.errors import _digits, _number, _too_long
 
@@ -371,13 +371,16 @@ NUMBER_SITES = {
 }
 
 
+# Malformed payload numbers, in a number's or an integer's place.
+REJECTS = ["1.5", "0.25", "1e9", "1e100000000", " 7", "7 ", "+7", "1_000", "\u0663",
+           "1/2/3", "1/", "/2", "-", "--7", "1/-2", "1/0", "", None, [], ["7"], {}]
+
+
 def test_payload_number_grammar(capsys):
     """A payload number is a JSON integer or a string -?digits(/digits)?;
     every other value is malformed at once: no exponent is expanded."""
-    rejects = ["1.5", "0.25", "1e9", "1e100000000", " 7", "7 ", "+7", "1_000", "\u0663",
-               "1/2/3", "1/", "/2", "-", "--7", "1/-2", "1/0", "", None, [], ["7"], {}]
     for site, argv in NUMBER_SITES.items():
-        for x in rejects:
+        for x in REJECTS:
             if site == "LClass" and not isinstance(x, str):
                 continue  # JSON object keys are strings
             start = time.perf_counter()
@@ -390,6 +393,45 @@ def test_payload_number_grammar(capsys):
         Fraction(-3, 2), Fraction(3, 2), 2, 0, 7, 12]
     assert [type(_number(x)) for x in ("4/2", "-0", 12)] == [int] * 3
     assert run_json(capsys, *NUMBER_SITES["WittVector"]("-6/4"))["ghost"] == ["-3/2"]
+
+
+def _relative(x) -> str:
+    point = {"level": 1, "perm": [0]}
+    return json.dumps({"total": point, "base": point, "map": [x]})
+
+
+# Each payload integer field, as a call that reads it, and a valid value.
+INTEGER_SITES = {
+    "qz c": (lambda x: ["qz", "sigma", "--n", "2", "--elem",
+                        json.dumps({"terms": [{"r": "1/3", "c": x}]})], 2),
+    "witt trunc": (lambda x: ["witt", "ghost", "--witt",
+                              json.dumps({"trunc": x, "coeffs": ["1"]})], 3),
+    "T coefficient": (lambda x: ["class", "convert", "--class", json.dumps({"T": [1, x]})], 3),
+    "L value": (lambda x: ["class", "convert", "--class", json.dumps({"L": {"1": x}})], 3),
+    "bb d": (lambda x: ["class", "bb", "--pieces",
+                        json.dumps([{"class": {"T": [1]}, "d": x}])], 2),
+    "action level": (lambda x: ["equivariant", "euler", "--action",
+                                json.dumps({"level": x, "perm": [1, 0]})], 2),
+    "action perm": (lambda x: ["equivariant", "euler", "--action",
+                               json.dumps({"level": 2, "perm": [x, 0]})], 1),
+    "relative map": (lambda x: ["equivariant", "sigma", "--n", "1", "--action", _relative(x)], 0),
+}
+
+
+def test_payload_integer_grammar(capsys):
+    """A payload integer is read by the number reader and must be integral:
+    "1_0", "\u0663" and "3/2" are malformed, and "4/2" reads as 2."""
+    for site, (argv, v) in INTEGER_SITES.items():
+        for x in [*REJECTS, "3/2", f"{2 * v + 1}/2", "1_0", "\u0663"]:
+            assert run_cli(capsys, *argv(x))[:2] == (2, ""), (site, x)
+        want = run_cli(capsys, *argv(v))
+        assert want[0] == 0 and want[2] == "", (site, want)
+        for x in (str(v), f"{2 * v}/2", f"-{v}" if v == 0 else f"{3 * v}/3"):
+            assert run_cli(capsys, *argv(x)) == want, (site, x)
+    for x in ("3/2", "0_1", "\u0663"):
+        with pytest.raises(ValueError):
+            LeveledClass.from_json({"class": {"T": [1]}, "level": x})
+    assert LeveledClass.from_json({"class": {"T": [1]}, "level": "4/2"}).level == 2
 
 
 def test_usage_errors(tmp_path, capsys):

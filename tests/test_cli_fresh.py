@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,33 @@ def test_exponent_string_is_malformed():
                         "--witt", '{"trunc":1,"coeffs":["1e100000000"]}', timeout=10)
     assert (done.returncode, done.stdout) == (2, "")
     assert "is not an integer or a fraction" in done.stderr
+
+
+# Calls that ran until killed before their size had a ceiling in
+# errors._SIZES; each now exits 1 with LimitExceeded before any work.
+PAST_A_CEILING = [
+    ["witt", "ghost", "--witt", '{"trunc":200000,"coeffs":["1/3"]}'],
+    ["witt", "verschiebung", "--n", "2", "--witt", '{"trunc":100000000,"coeffs":["1"]}'],
+    ["zeta", "f1", "--trunc", "100000", "--class", '{"T":[1]}'],
+    ["zeta", "hw", "--q", "2", "--trunc", "100000000", "--class", '{"T":[1]}'],
+    ["zeta", "quotient-check", "--k", "1", "--q", "2", "--trunc", "100000000"],
+    ["zeta", "quotient-check", "--k", "100000000", "--q", "3", "--trunc", "5"],
+    ["equivariant", "rho", "--n", "100000000", "--action", '{"level":1,"perm":[0]}'],
+    ["equivariant", "check", "--n", "1000", "--kmax", "100000000", "--action", ACTION],
+    ["endo", "verschiebung", "--n", "20000", "--matrix", '{"matrix":["1"]}'],
+    ["qz", "rho", "--n", "100000000", "--elem", ELEM],
+    ["qz", "split", "--primes", "1000000000000000003", "--elem", ELEM],
+]
+
+
+@pytest.mark.parametrize("argv", PAST_A_CEILING, ids=lambda argv: " ".join(argv[:2]))
+def test_size_past_its_ceiling_exits_at_once(argv):
+    start = time.perf_counter()
+    done = fresh_python("-m", "bcwitt.cli", *argv, timeout=10)
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stderr) == (1, "")
+    assert json.loads(done.stdout)["error"]["kind"] == "LimitExceeded"
+    assert elapsed < 1
 
 
 def test_cli_import_loads_no_library_module():
