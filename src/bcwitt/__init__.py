@@ -36,7 +36,7 @@ _EXPORTS = {
              "endo_verschiebung", "l_map", "phi_mu", "tensor"),
     "dynamical": ("LefschetzZeta", "ToralMap", "artin_mazur_series", "lefschetz_numbers",
                   "lefschetz_zeta_closed", "lefschetz_zeta_series", "spectral_euler",
-                  "torified_dynamical_zeta", "verschiebung_block"),
+                  "torified_dynamical_zeta", "verschiebung_block", "zeta_ghosts"),
     "equivariant": ("CyclicAction", "RelativeObject", "euler_char", "periodic_points",
                     "sigma_action", "verschiebung_action"),
 }

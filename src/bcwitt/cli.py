@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -93,8 +92,9 @@ def _ghost_json(g) -> list:
     return [[int(c) for c in v.coeffs] if isinstance(v, poly) else _numstr(v) for v in g.values]
 
 
-def _series_out(series) -> dict:
-    return {"ghost": _ghost_json(lib.ghost(series)), "series": series.to_json()["coeffs"]}
+def _series_out(ghosts) -> dict:
+    # The ghost field prints first and is built first: past the digit limit, no unghost runs.
+    return {"ghost": _ghost_json(ghosts), "series": lib.unghost(ghosts).to_json()["coeffs"]}
 
 
 def _q(text: str):
@@ -196,11 +196,11 @@ def _zeta_lefschetz(args, matrix: dict) -> dict:
     f = lib.ToralMap.from_json(matrix)
     if args.closed:
         return lib.lefschetz_zeta_closed(f).to_json()
-    return _series_out(lib.lefschetz_zeta_series(f, args.trunc))
+    return _series_out(lib.zeta_ghosts(f, args.trunc))
 
 
 def _zeta_artin_mazur(args, matrix: dict) -> dict:
-    return _series_out(lib.artin_mazur_series(lib.ToralMap.from_json(matrix), args.trunc))
+    return _series_out(lib.zeta_ghosts(lib.ToralMap.from_json(matrix), args.trunc, "artin_mazur"))
 
 
 def _zeta_quotient_check(args) -> dict:
@@ -226,32 +226,10 @@ def _equivariant_euler(args, action: dict) -> dict:
 
 
 def _equivariant_check(args, data: dict) -> dict:
-    eq = lib.equivariant
-    a, n, kmax = _plain_action(args, data), args.n, args.kmax
-    if kmax < 1:
-        raise UsageError(f"--kmax must be >= 1, not {kmax}")
-    shifted = eq.sigma_action(n, a)
-    spread = eq.verschiebung_action(n, a)
-    # Periodic points depend on which orbit sizes divide k: period n*lcm.
-    last = min(kmax, n * math.lcm(*a.orbit_type()))
-    _size("point visits of an equivariant check", last * spread.size)
-    for k in range(1, last + 1):
-        if eq.periodic_points(shifted, k) != eq.periodic_points(a, n * k):
-            return {"ok": False, "failed": f"sigma periodic points at k={k}"}
-        pp = eq.periodic_points(spread, k)
-        if k % n:
-            expected = frozenset()
-        else:
-            base = eq.periodic_points(a, k // n)
-            expected = frozenset(j * a.size + s for j in range(n) for s in base)
-        if pp != expected:
-            return {"ok": False, "failed": f"verschiebung periodic points at k={k}"}
-    base_euler = eq.euler_char(a)
-    if eq.euler_char(shifted) != lib.sigma(n, base_euler):
-        return {"ok": False, "failed": "sigma euler intertwining"}
-    if eq.euler_char(spread) != lib.rho(n, base_euler):
-        return {"ok": False, "failed": "verschiebung euler intertwining"}
-    return {"ok": True, "n": n, "kmax": kmax}
+    a = _plain_action(args, data)
+    if args.kmax < 1:
+        raise UsageError(f"--kmax must be >= 1, not {args.kmax}")
+    return lib.equivariant.check_relations(args.n, a, args.kmax)
 
 
 # Plain (non-payload) flags by name; "a|b" in a subcommand's flags makes a

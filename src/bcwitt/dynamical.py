@@ -7,6 +7,10 @@ function is the exponential of the generating series of those numbers; the
 Artin-Mazur variant counts fixed points, |det(I - M^m)|, and is defined
 only while every iterate has isolated fixed points.
 
+A zeta is its ghosts: ``zeta_ghosts`` alone decides them, and each series
+is their ``unghost``.  A disjoint union of tori is a Witt sum, so the
+torified zeta's ghosts are the sums of its parts' ghosts.
+
 Frobenius on the big Witt ring raises the endomorphism to a power, so
 det(1 - t M^m) = F_m det(1 - t M): its ghosts are those of det(1 - t M) at
 m, 2m, ..., dm, and det(I - M^m) is that degree-d polynomial at t = 1.  The
@@ -43,7 +47,7 @@ from .arith import _divisor_table, cyclotomic_factor
 from .errors import DegenerateIterate, _json_list, _number, _numstr, _size
 from . import linalg
 from .linalg import Matrix
-from .witt import GhostVector, WittVector, _unghost, ghost, unghost, witt_add
+from .witt import GhostVector, WittVector, _unghost, ghost, unghost
 from .record import Record, _canonical
 
 if TYPE_CHECKING:
@@ -85,9 +89,23 @@ def lefschetz_numbers(f: ToralMap, trunc: int) -> list[int]:
     return [1 + sum(_unghost(g[n - 1::n][:d])) for n in range(1, trunc + 1)]
 
 
+ZetaKind = Literal["lefschetz", "artin_mazur"]
+
+
+def zeta_ghosts(f: ToralMap, trunc: int, kind: ZetaKind = "lefschetz") -> GhostVector:
+    """The ghosts of f's zeta: det(I - M^n) for n = 1..trunc, or for the
+    Artin-Mazur zeta the fixed-point counts |det(I - M^n)|, none zero."""
+    if kind not in ("lefschetz", "artin_mazur"):
+        raise ValueError(f"unknown zeta kind {kind!r}")
+    numbers = lefschetz_numbers(f, trunc)
+    if kind == "artin_mazur" and 0 in numbers:
+        raise DegenerateIterate(numbers.index(0) + 1)
+    return GhostVector.of(numbers if kind == "lefschetz" else [abs(a) for a in numbers])
+
+
 def lefschetz_zeta_series(f: ToralMap, trunc: int) -> WittVector:
     """exp of the Lefschetz-number generating series, truncated."""
-    return unghost(GhostVector.of(lefschetz_numbers(f, trunc)))
+    return unghost(zeta_ghosts(f, trunc))
 
 
 class LefschetzZeta(Record):
@@ -137,28 +155,16 @@ def lefschetz_zeta_closed(f: ToralMap) -> LefschetzZeta:
 
 def artin_mazur_series(f: ToralMap, trunc: int) -> WittVector:
     """exp(sum |det(I - M^n)|/n t^n); fails on a degenerate iterate."""
-    counts = []
-    for n, a in enumerate(lefschetz_numbers(f, trunc), start=1):
-        if a == 0:
-            raise DegenerateIterate(n)
-        counts.append(abs(a))
-    return unghost(GhostVector.of(counts))
-
-
-ZetaKind = Literal["lefschetz", "artin_mazur"]
+    return unghost(zeta_ghosts(f, trunc, "artin_mazur"))
 
 
 def torified_dynamical_zeta(parts: Sequence[ToralMap], trunc: int,
                             kind: ZetaKind = "lefschetz") -> WittVector:
-    """Product over the tori of the per-torus zeta (the Witt sum)."""
+    """Product over the tori of the per-torus zeta (the Witt sum): the ghosts add."""
     if kind not in ("lefschetz", "artin_mazur"):
         raise ValueError(f"unknown zeta kind {kind!r}")
-    acc = WittVector.one(trunc)
-    for part in parts:
-        series = (lefschetz_zeta_series if kind == "lefschetz" else artin_mazur_series)(
-            part, trunc)
-        acc = witt_add(acc, series)
-    return acc
+    zero = GhostVector.of([0] * _size("truncation", trunc))
+    return unghost(sum((zeta_ghosts(part, trunc, kind) for part in parts), zero))
 
 
 def spectral_euler(m: Matrix | ToralMap) -> QZElement:

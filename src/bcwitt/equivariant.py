@@ -36,11 +36,12 @@ is, per base orbit, the multiset of total-orbit sizes lying over it.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Sequence
 
 from .errors import _integer, _json_list, _size
-from .qz import QZElement, _primitive_points
+from .qz import QZElement, _primitive_points, rho, sigma
 from .record import Record
 
 
@@ -203,3 +204,32 @@ def euler_char(a: CyclicAction) -> QZElement:
                 orders[e] = orders.get(e, 0) + k
     return _primitive_points(orders)
 
+
+def check_relations(n: int, a: CyclicAction, kmax: int) -> dict:
+    """The reindexing identities of sigma_action and verschiebung_action on
+    the periodic points at k = 1..kmax, then their Euler characteristics'
+    intertwining with sigma and rho, as the JSON object of ``equivariant
+    check``: {"ok": true, "n", "kmax"}, or {"ok": false, "failed"} naming
+    the first identity that fails."""
+    shifted = sigma_action(n, a)
+    spread = verschiebung_action(n, a)
+    # Periodic points depend on which orbit sizes divide k: period n*lcm.
+    last = min(kmax, n * math.lcm(*a.orbit_type()))
+    _size("point visits of an equivariant check", last * spread.size)
+    for k in range(1, last + 1):
+        if periodic_points(shifted, k) != periodic_points(a, n * k):
+            return {"ok": False, "failed": f"sigma periodic points at k={k}"}
+        pp = periodic_points(spread, k)
+        if k % n:
+            expected = frozenset()
+        else:
+            base = periodic_points(a, k // n)
+            expected = frozenset(j * a.size + s for j in range(n) for s in base)
+        if pp != expected:
+            return {"ok": False, "failed": f"verschiebung periodic points at k={k}"}
+    base_euler = euler_char(a)
+    if euler_char(shifted) != sigma(n, base_euler):
+        return {"ok": False, "failed": "sigma euler intertwining"}
+    if euler_char(spread) != rho(n, base_euler):
+        return {"ok": False, "failed": "verschiebung euler intertwining"}
+    return {"ok": True, "n": n, "kmax": kmax}

@@ -148,6 +148,7 @@ _SIZES = {
     "degree of a polynomial power": (None, 2**15),  # the zero polynomial's is -1
     "points of an action": (0, 2**16),
     "matrix dimension": (0, 64),
+    "bits of a matrix power entry": (0, 2**16),  # a numerator or denominator, as mat_pow squares
     "terms of a Q/Z element": (0, 2**16),
     "prime of a split": (2, 2**40),  # factorize trial-divides to its root
     "point visits of an equivariant check": (0, 2**20),

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, itemgetter, mul
+from operator import add, attrgetter, itemgetter, mul
 from typing import Sequence, Union
 
 from .arith import Polynomial, _norm_coeff, _unclear
@@ -77,13 +77,24 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
+def _entry_bits(m: Matrix) -> int:
+    """The largest bit length of a numerator or denominator of m's entries."""
+    entries = list(chain.from_iterable(m))
+    return max(max(map(abs, map(attrgetter("numerator"), entries)), default=0),
+               max(map(attrgetter("denominator"), entries), default=1)).bit_length()
+
+
 def mat_pow(a: Matrix, e: int) -> Matrix:
     """a^e, high bit first, with a the left factor (where mat_mul can skip
-    its zeros) of each product by a.  Integral entries come out as ints."""
+    its zeros) of each product by a.  Integral entries come out as ints.
+    Before each squaring but the first, an entry's numerator or denominator
+    past its bit ceiling in ``errors._SIZES`` is LimitExceeded."""
     if not _size("exponent", e):
         return identity(len(a))
     result = a
-    for bit in bin(e)[3:]:
+    for i, bit in enumerate(bin(e)[3:]):
+        if i:  # the first squaring squares a, which its payload's digit limit bounds
+            _size("bits of a matrix power entry", _entry_bits(result))
         result = mat_mul(result, result)
         if bit == "1":
             result = mat_mul(a, result)

@@ -71,6 +71,7 @@ EXPORTED = """
     l_map phi_mu tensor
     LefschetzZeta ToralMap artin_mazur_series lefschetz_numbers lefschetz_zeta_closed
     lefschetz_zeta_series spectral_euler torified_dynamical_zeta verschiebung_block
+    zeta_ghosts
     CyclicAction RelativeObject euler_char periodic_points sigma_action
     verschiebung_action
     __version__

@@ -6,11 +6,12 @@ arbitrary JSON and text that is not JSON.  Whatever it gets, ``main`` must
 exit 0 or 1 with one JSON object on stdout, or 2 with stdout empty.
 
 --n, --k, --trunc and a payload's "trunc" are small or past their ceiling
-in ``errors._SIZES``, up to 10^8: such a call must exit 1 at once.  Sizes
-in between are bounded but may take seconds, so they are left to the size
-tests.  Two inputs still reach a known unbounded computation and stay small:
---n of ``endo frobenius`` (a huge power of a matrix) and payload constants
-with huge divisors (``endo phimu``'s root search).
+in ``errors._SIZES``, up to 10^8: such a call must exit 1 at once (--n of
+``endo frobenius`` by the bits of a matrix power entry, unless the powers
+stay small).  Sizes in between are bounded but may take seconds, so they
+are left to the size tests.  One input still reaches a known unbounded
+computation and stays small: payload constants with huge divisors
+(``endo phimu``'s root search).
 """
 
 import io
@@ -87,9 +88,6 @@ FLAG_VALUES = {
     "primes": st.sampled_from(["2", "3", "2,3", "5,7", "4", "1", "", "x", "2,,3"]),
 }
 
-# A flag with no ceiling yet where a huge value still runs: it stays small.
-UNBOUNDED = {("endo", "frobenius", "n")}
-
 
 def argv_for(draw, group: str, name: str) -> list[str]:
     flags, payloads, _ = COMMANDS[group][1][name]
@@ -97,9 +95,8 @@ def argv_for(draw, group: str, name: str) -> list[str]:
     for flag in flags:
         for f in flag.split("|"):
             if f in FLAG_VALUES:
-                values = small if (group, name, f) in UNBOUNDED else FLAG_VALUES[f]
                 if draw(st.integers(0, 9)):  # mostly present
-                    argv += [f"--{f}", str(draw(values))]
+                    argv += [f"--{f}", str(draw(FLAG_VALUES[f]))]
             elif draw(st.booleans()):
                 argv.append(f"--{f}")
     for payload in payloads:

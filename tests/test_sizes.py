@@ -16,7 +16,7 @@ import pytest
 from bcwitt import linalg
 from bcwitt.arith import Polynomial, factorize, stirling2
 from bcwitt.cli import main
-from bcwitt.dynamical import ToralMap, lefschetz_numbers
+from bcwitt.dynamical import ToralMap, lefschetz_numbers, torified_dynamical_zeta
 from bcwitt.endo import EndoObject, endo_frobenius, endo_verschiebung
 from bcwitt.equivariant import CyclicAction, periodic_points, sigma_action, verschiebung_action
 from bcwitt.errors import LimitExceeded, _SIZES, _size
@@ -42,6 +42,7 @@ def _check(argv) -> tuple[int, dict]:
 TRUNCATED = [lambda t: WittVector.from_json({"trunc": t, "coeffs": ["1/3"]}),
              lambda t: f1_zeta(POINT, t), lambda t: hw_zeta(POINT, 2, t),
              lambda t: hw_zeta(POINT, "q", t), lambda t: lefschetz_numbers(ToralMap.of([[0]]), t),
+             lambda t: torified_dynamical_zeta([], t),
              lambda t: hw_quotient_check(1, 2, t)]
 
 # entry -> calls that read a size of that entry, each a function of the size:
@@ -74,6 +75,10 @@ LARGEST = {
     "matrix dimension": [lambda d: linalg.as_matrix(linalg.identity(d)),
                          lambda d: endo_verschiebung(d, EndoObject.scalar(2))],
     "terms of a Q/Z element": [lambda k: rho(k, QZElement.e(0))],
+    # The first squaring of (0 x; 1 0) is diag(x, x), checked before the next.
+    "bits of a matrix power entry": [
+        lambda b: linalg.mat_pow(((0, 1 << (b - 1)), (1, 0)), 4),
+        lambda b: endo_frobenius(4, EndoObject.of([[0, Fraction(1, 1 << (b - 1))], [1, 0]]))],
     "prime of a split": LEAST["prime of a split"],
 }
 # The largest value of these calls' argument that is in range.

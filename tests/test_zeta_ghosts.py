@@ -1,0 +1,157 @@
+"""``zeta_ghosts`` against the paths it replaced, kept here as oracles.
+
+A toral map's zetas are given by their ghosts, the Lefschetz numbers or the
+fixed-point counts, so the library decides them once and ``unghost``s them.
+The oracles are the former ways to the same outputs: the Artin-Mazur loop
+over the Lefschetz numbers, the torified product of per-torus series by
+``witt_add``, and the CLI's series output, which recovered its ghost field
+from the series by ``ghost``.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from bcwitt import cli, errors  # noqa: E402
+from bcwitt.arith import Polynomial, cyclotomic, totient  # noqa: E402
+from bcwitt.dynamical import (  # noqa: E402
+    ToralMap, artin_mazur_series, lefschetz_numbers, lefschetz_zeta_series,
+    torified_dynamical_zeta, zeta_ghosts)
+from bcwitt.errors import DegenerateIterate  # noqa: E402
+from bcwitt.witt import GhostVector, WittVector, ghost, unghost, witt_add  # noqa: E402
+
+KINDS = ("lefschetz", "artin_mazur")
+SUBCOMMAND = {"lefschetz": ["lefschetz", "--series"], "artin_mazur": ["artin-mazur"]}
+
+
+def _artin_mazur_oracle(f, trunc):
+    counts = []
+    for n, a in enumerate(lefschetz_numbers(f, trunc), start=1):
+        if a == 0:
+            raise DegenerateIterate(n)
+        counts.append(abs(a))
+    return unghost(GhostVector.of(counts))
+
+
+def _series_oracle(f, trunc, kind):
+    if kind == "lefschetz":
+        return unghost(GhostVector.of(lefschetz_numbers(f, trunc)))
+    return _artin_mazur_oracle(f, trunc)
+
+
+def _torified_oracle(parts, trunc, kind):
+    if kind not in KINDS:
+        raise ValueError(f"unknown zeta kind {kind!r}")
+    acc = WittVector.one(trunc)
+    for part in parts:
+        acc = witt_add(acc, _series_oracle(part, trunc, kind))
+    return acc
+
+
+def _oracle_handler(kind):
+    def handler(args, matrix):
+        series = _series_oracle(ToralMap.from_json(matrix), args.trunc, kind)
+        return {"ghost": cli._ghost_json(ghost(series)), "series": series.to_json()["coeffs"]}
+    return handler
+
+
+def _outcome(call):
+    """call()'s value, or the error it raised with its stated fields."""
+    try:
+        return "value", call()
+    except DegenerateIterate as exc:
+        return "DegenerateIterate", exc.n
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _companion(indices):
+    """The companion matrix of prod Phi_m over the indices."""
+    p = Polynomial([1])
+    for m in indices:
+        p = p * cyclotomic(m)
+    d = p.degree
+    return ToralMap.of([[int(i == j + 1) if j < d - 1 else -p.coeffs[i] for j in range(d)]
+                        for i in range(d)])
+
+
+# Random matrices of dimension 0-5, mostly with entries in [-3, 3]; entries
+# near 10^12 push the ghosts past 640 digits within trunc 40.
+random_maps = st.tuples(st.integers(0, 5), st.sampled_from([3, 3, 3, 10**12])).flatmap(
+    lambda dr: st.lists(st.lists(st.integers(-dr[1], dr[1]), min_size=dr[0], max_size=dr[0]),
+                        min_size=dr[0], max_size=dr[0])).map(ToralMap.of)
+# Companions of products of cyclotomic polynomials of total degree <= 5.
+cyclotomic_maps = st.lists(st.sampled_from([m for m in range(1, 13) if totient(m) <= 5]),
+                           max_size=5).filter(
+    lambda ms: sum(map(totient, ms)) <= 5).map(_companion)
+maps = random_maps | cyclotomic_maps
+small_maps = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3,
+                      max_size=3).map(ToralMap.of) | cyclotomic_maps
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(f=maps, trunc=st.integers(1, 40), kind=st.sampled_from(KINDS),
+       limit=st.sampled_from([None, 640]))
+@example(f=ToralMap.of([[10**20]]), trunc=40, kind="lefschetz", limit=640)
+@example(f=ToralMap.of([[10**20]]), trunc=40, kind="artin_mazur", limit=640)
+@example(f=_companion([3, 4]), trunc=40, kind="artin_mazur", limit=None)
+def test_zeta_ghosts_match_the_oracles(f, trunc, kind, limit):
+    got = _outcome(lambda: zeta_ghosts(f, trunc, kind))
+    want = _outcome(lambda: ghost(_series_oracle(f, trunc, kind)))
+    assert got == want
+    if got[0] == "value":
+        assert {type(v) for v in got[1].values} <= {int}
+    series = lefschetz_zeta_series if kind == "lefschetz" else artin_mazur_series
+    assert _outcome(lambda: series(f, trunc)) == _outcome(lambda: _series_oracle(f, trunc, kind))
+    argv = ["zeta", *SUBCOMMAND[kind], "--trunc", str(trunc),
+            "--matrix", json.dumps(f.to_json())]
+    name = SUBCOMMAND[kind][0]
+    flags, payloads, _ = cli.COMMANDS["zeta"][1][name]
+    with pytest.MonkeyPatch.context() as m:
+        if limit:
+            m.setattr(errors, "_MAX_STR_DIGITS", limit)
+        done = _cli(argv)
+        m.setitem(cli.COMMANDS["zeta"][1], name, (flags, payloads, _oracle_handler(kind)))
+        assert done == _cli(argv)
+    assert done[0] in (0, 1) and done[2] == ""
+
+
+def test_the_cli_reaches_each_ending():
+    """The property's explicit examples end in each way the CLI can."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(errors, "_MAX_STR_DIGITS", 640)
+        code, out, _ = _cli(["zeta", "artin-mazur", "--trunc", "40", "--matrix",
+                             json.dumps(ToralMap.of([[10**20]]).to_json())])
+    assert (code, json.loads(out)) == (1, {"error": {
+        "kind": "LimitExceeded",
+        "detail": "decimal digits of an output number: 660 exceeds the limit 640"}})
+    code, out, _ = _cli(["zeta", "artin-mazur", "--trunc", "40", "--matrix",
+                         json.dumps(_companion([3, 4]).to_json())])
+    assert (code, json.loads(out)["error"]["kind"]) == (1, "DegenerateIterate")
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(parts=st.lists(small_maps, max_size=3), trunc=st.integers(1, 40),
+       kind=st.sampled_from(KINDS))
+@example(parts=[], trunc=5, kind="artin_mazur")
+@example(parts=[_companion([2]), _companion([1])], trunc=5, kind="artin_mazur")
+def test_torified_zeta_is_the_product_of_the_parts(parts, trunc, kind):
+    got = _outcome(lambda: torified_dynamical_zeta(parts, trunc, kind))
+    assert got == _outcome(lambda: _torified_oracle(parts, trunc, kind))
+    for bad in ([], parts):
+        with pytest.raises(ValueError, match="unknown zeta kind 'other'"):
+            torified_dynamical_zeta(bad, trunc, "other")
+    with pytest.raises(ValueError, match="unknown zeta kind 'other'"):
+        zeta_ghosts(ToralMap.of([[2]]), trunc, "other")
