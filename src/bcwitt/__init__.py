@@ -24,7 +24,7 @@ _EXPORTS = {
               "totient"),
     "errors": ("DegenerateIterate", "DomainError", "HalfTwistPresent", "LimitExceeded",
                "NotDivisible", "NotEffectivelyTorified", "NotQuasiUnipotent", "NotSplit",
-               "TruncationTooSmall"),
+               "OutOfMemory", "TruncationTooSmall"),
     "qz": ("QZElement", "SplitQZElement", "pi_n_times_n", "rho", "sigma", "split", "unsplit"),
     "witt": ("GhostVector", "RationalWitt", "WittVector", "frobenius", "ghost", "ghost_divide",
              "rational_div", "teichmuller", "unghost", "verschiebung", "witt_add", "witt_mul"),

@@ -15,7 +15,9 @@ Every subcommand is declared once, in ``COMMANDS``: its plain flags, its
 JSON payload flags and its handler.  Any payload flag accepts ``@FILE`` to
 read its JSON from a file, and ``--input FILE`` supplies missing payload
 flags from a single JSON object keyed by flag name.  ``--trunc`` defaults
-to 12, overridable with the BCWITT_TRUNC environment variable.
+to 12.  argv is the only input: no environment variable changes an output.
+A MemoryError ends as the domain failure OutOfMemory, so every call ends in
+one of the three ways above, never in a traceback.
 
 Handlers reach the library through the package (``lib``), whose lazy name
 table ``bcwitt._EXPORTS`` loads each module on first use, and only the
@@ -27,25 +29,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import bcwitt as lib
-from .errors import DomainError, _integer, _numstr, _size, _too_long
-
-DEFAULT_TRUNC = 12
+from .errors import DomainError, OutOfMemory, _integer, _numstr, _too_long
 
 
 class UsageError(Exception):
     pass
-
-
-def _default_trunc() -> int:
-    env = os.environ.get("BCWITT_TRUNC", str(DEFAULT_TRUNC))
-    try:
-        return _size("truncation", int(env), ceiling=False)  # checked where it is used
-    except ValueError:
-        raise UsageError(f"BCWITT_TRUNC must be a positive integer, not {env!r}")
 
 
 def _decode(text: str, source: str) -> dict | list:
@@ -238,7 +229,7 @@ def _equivariant_check(args, data: dict) -> dict:
 _FLAGS = {
     **dict.fromkeys(("n", "m", "k", "dim"), {"type": int, "required": True}),
     "kmax": {"type": int, "default": 24},
-    "trunc": {"type": int},
+    "trunc": {"type": int, "default": 12},
     "primes": {"required": True, "help": "comma-separated primes, e.g. 2,3"},
     "q": {"required": True, "help": "integer >= 2, or 'q' for symbolic"},
     **dict.fromkeys(("closed", "series"), {"action": "store_true"}),
@@ -325,15 +316,13 @@ def run(argv: list[str]) -> int:
     # argument not starting with "-" is the group, if any is valid.
     group = next((a for a in argv if not a.startswith("-")), None)
     args = build_parser(group).parse_args(argv)
-    flags, payloads, handler = COMMANDS[args.command][1][args.subcommand]
+    _, payloads, handler = COMMANDS[args.command][1][args.subcommand]
     inputs: dict = {}
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             inputs = _decode(fh.read(), "--input")
         if not isinstance(inputs, dict):
             raise UsageError("--input file must contain a JSON object")
-    if "trunc" in flags and args.trunc is None:
-        args.trunc = _default_trunc()
     data = [_load_payload(getattr(args, name), name, inputs) for name in payloads]
     out = handler(args, *data)
     try:
@@ -358,7 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, OSError, KeyError, TypeError, AttributeError) as exc:
         print(f"bcwitt: invalid input: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (DomainError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = OutOfMemory("the call ran out of memory")
         print(json.dumps({"error": {"kind": exc.kind, "detail": exc.detail}},
                          separators=(",", ":")))
         return 1

@@ -125,6 +125,10 @@ class DegenerateIterate(DomainError):
         self.n = n
 
 
+class OutOfMemory(DomainError):
+    """A computation ran out of memory: a size that no ceiling bounds yet."""
+
+
 class LimitExceeded(DomainError):
     """A value passes a fixed limit: a ceiling of ``_SIZES``, or the decimal
     digits of an output int (``_MAX_STR_DIGITS`` under ``cli.main``)."""

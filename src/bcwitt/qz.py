@@ -67,7 +67,11 @@ def _primitive_points(orders: Mapping[int, int]) -> "QZElement":
 
 
 class QZElement(Record):
-    """Finite Z-linear combination of points of Q/Z, canonically ordered."""
+    """Finite Z-linear combination of points of Q/Z, canonically ordered.
+
+    The maps, ``coeff`` and ``is_zero`` read an element built directly from
+    its pairs as its canonical form; ``==`` and ``hash`` compare the stored
+    term tuples, which are equal for equal sums only in canonical form."""
 
     terms: tuple[tuple[Fraction, int], ...]
 
@@ -86,14 +90,11 @@ class QZElement(Record):
         return QZElement.from_terms([(Fraction(r), coeff)])
 
     def coeff(self, r: Fraction) -> int:
-        key = qz(r.numerator, r.denominator)
-        for s, c in self.terms:
-            if s == key:
-                return c
-        return 0
+        key = _point(r.numerator, r.denominator)
+        return sum(c for s, c in self.terms if _point(s.numerator, s.denominator) == key)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not _canonical((_point(r.numerator, r.denominator), c) for r, c in self.terms)
 
     def __add__(self, other: "QZElement") -> "QZElement":
         return QZElement.from_terms(self.terms + other.terms)

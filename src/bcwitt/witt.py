@@ -26,8 +26,9 @@ above 1000 after the first entry, or a cover past its bit cap), and in
 ``arith._CLEAR_MAX_BITS`` bits per Fraction entry.  ``ghost`` stops the
 sum at the last nonzero coefficient, so a polynomial padded to truncation N
 costs O(N * degree).  ``ghost``, ``unghost``, ``series_mul``, ``series_div`` and
-``arith._power_series`` are the package's only Newton and convolution loops; the
-matrix layers reach them through det(1 - t M).  Each keeps its past outputs in a
+``arith._power_series`` are the package's only Newton and series loops (the
+matrix layers reach them through det(1 - t M)), beside the product and division
+loops of ``arith.Polynomial``.  Each series loop keeps its past outputs in a
 buffer newest first, so every inner sum is one ``sum(map(mul, coeffs, rev))``.
 ``_unghost`` is the body of ``unghost`` on a plain sequence of values,
 returning the coefficients with no vector built:

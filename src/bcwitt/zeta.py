@@ -38,9 +38,9 @@ def _require_symbolic(q: QParam) -> bool:
     if isinstance(q, int):
         _size("q", q)
         return False
-    if q in ("q", "sym", "symbolic"):
+    if q == "q":
         return True
-    raise ValueError(f"q must be an integer >= 2 or symbolic, not {q!r}")
+    raise ValueError(f"q must be an integer >= 2 or 'q', not {q!r}")
 
 
 def _q_value(q: QParam) -> int | Polynomial:

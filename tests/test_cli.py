@@ -516,13 +516,18 @@ def test_subcommand_contract(group, name, capsys):
         assert code == 0 and json.loads(out)
 
 
-def test_trunc_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BCWITT_TRUNC", "3")
-    data = run_json(capsys, "zeta", "f1", "--class", '{"T":[1]}')
-    assert data["ghost"] == ["1", "1", "1"]
-    monkeypatch.setenv("BCWITT_TRUNC", "zero")
-    code, out, err = run_cli(capsys, "zeta", "f1", "--class", '{"T":[1]}')
-    assert code == 2
+def test_memory_error_ends_in_the_contract(capsys, monkeypatch):
+    """A MemoryError exits 1 with a domain-error JSON, not a traceback."""
+    def exhausted(args, *data):
+        raise MemoryError
+
+    flags, payloads, _ = COMMANDS["qz"][1]["mul"]
+    monkeypatch.setitem(COMMANDS["qz"][1], "mul", (flags, payloads, exhausted))
+    elem = '{"terms":[{"r":"1/2","c":1}]}'
+    code, out, err = run_cli(capsys, "qz", "mul", "--a", elem, "--b", elem)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"error": {"kind": "OutOfMemory",
+                                         "detail": "the call ran out of memory"}}
 
 
 def test_output_is_byte_stable(capsys):

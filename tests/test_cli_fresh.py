@@ -2,10 +2,14 @@
 
 The package loads its modules on first use, so a missing import shows only
 in a process that has not loaded everything already, as the other tests do.
+This file is the one home of the end-to-end CLI contract: every subcommand
+on the standard library alone, outputs that read no environment, and every
+known ending of a call as a row of ``ENDINGS``.
 """
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -60,7 +64,7 @@ CALLS = {
 EXPORTED = """
     Polynomial cyclotomic cyclotomic_factor moebius stirling2 totient
     DegenerateIterate DomainError HalfTwistPresent NotDivisible
-    NotEffectivelyTorified NotQuasiUnipotent NotSplit TruncationTooSmall
+    NotEffectivelyTorified NotQuasiUnipotent NotSplit OutOfMemory TruncationTooSmall
     QZElement SplitQZElement pi_n_times_n rho sigma split unsplit
     GhostVector RationalWitt WittVector frobenius ghost ghost_divide rational_div
     teichmuller unghost verschiebung witt_add witt_mul
@@ -83,7 +87,6 @@ def fresh_python(*args: str, timeout: float = 60,
     """Run python with the package on its path, the settings that change a
     call's outcome unset, and then the variables in env."""
     base = dict(os.environ, PYTHONPATH=SRC)
-    base.pop("BCWITT_TRUNC", None)
     base.pop("PYTHONINTMAXSTRDIGITS", None)
     env = {**base, **(env or {})}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
@@ -96,21 +99,17 @@ def test_every_subcommand_has_a_call():
 
 @pytest.mark.parametrize("group,name", sorted(CALLS))
 def test_subcommand_in_fresh_process(group, name, capsys):
+    """Each subcommand runs on the standard library alone: the test-only
+    oracles are blocked, and an import of one would leave a traceback."""
     argv = [group, name, *CALLS[group, name]]
     code = main(argv)
     expected = capsys.readouterr().out
-    done = fresh_python("-m", "bcwitt.cli", *argv)
-    assert (done.returncode, done.stdout) == (code, expected), done.stderr
+    done = fresh_python("-c", "import sys\n"
+                        "sys.modules['sympy'] = sys.modules['hypothesis'] = None\n"
+                        "from bcwitt.cli import main\n"
+                        "sys.exit(main(sys.argv[1:]))", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, expected, "")
     assert code == 0
-
-
-def test_output_past_the_default_digit_limit():
-    """The ghosts (3^m - 1)^100000 have 30103 digits and more, past the
-    default limit of 4300."""
-    done = fresh_python("-m", "bcwitt.cli", "zeta", "quotient-check",
-                        "--k", "100000", "--q", "3", "--trunc", "5")
-    assert (done.returncode, done.stderr) == (1, "")
-    assert json.loads(done.stdout)["error"]["kind"] == "LimitExceeded"
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -120,7 +119,8 @@ def test_digit_limit_does_not_depend_on_the_interpreter():
     interpreter's own limit is the default or off (0)."""
     argv = ["-m", "bcwitt.cli", "endo", "frobenius", "--n", "20000",
             "--matrix", '{"matrix":["2"]}']
-    runs = [fresh_python(*argv, env=env) for env in ({}, {"PYTHONINTMAXSTRDIGITS": "0"})]
+    runs = [fresh_python(*argv, timeout=10, env=env)
+            for env in ({}, {"PYTHONINTMAXSTRDIGITS": "0"})]
     for done in runs:
         assert (done.returncode, done.stderr) == (1, "")
         assert json.loads(done.stdout) == {"error": {
@@ -129,40 +129,118 @@ def test_digit_limit_does_not_depend_on_the_interpreter():
     assert runs[0].stdout == runs[1].stdout
 
 
-def test_exponent_string_is_malformed():
-    """Fraction("1e100000000") would build a 10^8-digit int before any
-    check; the payload grammar rejects the string at once."""
-    done = fresh_python("-m", "bcwitt.cli", "witt", "ghost",
-                        "--witt", '{"trunc":1,"coeffs":["1e100000000"]}', timeout=10)
-    assert (done.returncode, done.stdout) == (2, "")
-    assert "is not an integer or a fraction" in done.stderr
+def test_no_output_reads_the_environment():
+    """Every call of CALLS, and one at the default truncation, prints the
+    same in a clean environment as under variables that a CLI could read:
+    argv is its only input."""
+    calls = [[g, n, *CALLS[g, n]] for g, n in sorted(CALLS)]
+    calls.append(["zeta", "f1", "--class", '{"T":[2,1]}'])
+    code = ("import json, sys\n"
+            "from bcwitt.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    print(main(argv))\n")
+    runs = [fresh_python("-c", code, json.dumps(calls), env=env) for env in (
+        {},
+        {"BCWITT_TRUNC": "3", "PYTHONINTMAXSTRDIGITS": "0", "PYTHONHASHSEED": "1"},
+        {"PYTHONHASHSEED": "0"},
+    )]
+    assert (runs[0].returncode, runs[0].stderr) == (0, "")
+    assert [(done.stdout, done.stderr) for done in runs[1:]] == [(runs[0].stdout, "")] * 2
 
 
-# Calls that ran until killed before their size had a ceiling in
-# errors._SIZES; each now exits 1 with LimitExceeded before any work.
-PAST_A_CEILING = [
-    ["witt", "ghost", "--witt", '{"trunc":200000,"coeffs":["1/3"]}'],
-    ["witt", "verschiebung", "--n", "2", "--witt", '{"trunc":100000000,"coeffs":["1"]}'],
-    ["zeta", "f1", "--trunc", "100000", "--class", '{"T":[1]}'],
-    ["zeta", "hw", "--q", "2", "--trunc", "100000000", "--class", '{"T":[1]}'],
-    ["zeta", "quotient-check", "--k", "1", "--q", "2", "--trunc", "100000000"],
-    ["zeta", "quotient-check", "--k", "100000000", "--q", "3", "--trunc", "5"],
-    ["equivariant", "rho", "--n", "100000000", "--action", '{"level":1,"perm":[0]}'],
-    ["equivariant", "check", "--n", "1000", "--kmax", "100000000", "--action", ACTION],
-    ["endo", "verschiebung", "--n", "20000", "--matrix", '{"matrix":["1"]}'],
-    ["qz", "rho", "--n", "100000000", "--elem", ELEM],
-    ["qz", "split", "--primes", "1000000000000000003", "--elem", ELEM],
+# Every end-to-end ending of a CLI call, one row each: (argv, exit code, what
+# the call must show, seconds).  What it shows is, for exit 2, a fragment of
+# its stderr (None: any message), and for exit 0 or 1 the kind of its error
+# JSON (None: no error).  Each row runs in a fresh interpreter.
+AT_ONCE = 1  # seconds: a size past its ceiling is refused before any work
+_M16 = random.Random(1)
+M16 = json.dumps({"rows": [[_M16.randint(-3, 3) for _ in range(16)] for _ in range(16)]})
+ENDINGS = [
+    # Calls that ran until killed before their size had a ceiling in
+    # errors._SIZES.
+    (["witt", "ghost", "--witt", '{"trunc":200000,"coeffs":["1/3"]}'],
+     1, "LimitExceeded", AT_ONCE),
+    (["witt", "verschiebung", "--n", "2", "--witt", '{"trunc":100000000,"coeffs":["1"]}'],
+     1, "LimitExceeded", AT_ONCE),
+    (["zeta", "f1", "--trunc", "100000", "--class", '{"T":[1]}'],
+     1, "LimitExceeded", AT_ONCE),
+    (["zeta", "hw", "--q", "2", "--trunc", "100000000", "--class", '{"T":[1]}'],
+     1, "LimitExceeded", AT_ONCE),
+    (["zeta", "quotient-check", "--k", "1", "--q", "2", "--trunc", "100000000"],
+     1, "LimitExceeded", AT_ONCE),
+    (["zeta", "quotient-check", "--k", "100000000", "--q", "3", "--trunc", "5"],
+     1, "LimitExceeded", AT_ONCE),
+    (["equivariant", "rho", "--n", "100000000", "--action", '{"level":1,"perm":[0]}'],
+     1, "LimitExceeded", AT_ONCE),
+    (["equivariant", "check", "--n", "1000", "--kmax", "100000000", "--action", ACTION],
+     1, "LimitExceeded", AT_ONCE),
+    (["endo", "verschiebung", "--n", "20000", "--matrix", '{"matrix":["1"]}'],
+     1, "LimitExceeded", AT_ONCE),
+    (["qz", "rho", "--n", "100000000", "--elem", ELEM], 1, "LimitExceeded", AT_ONCE),
+    (["qz", "split", "--primes", "1000000000000000003", "--elem", ELEM],
+     1, "LimitExceeded", AT_ONCE),
+    # Fraction("1e100000000") would build a 10^8-digit int before any check;
+    # the payload grammar rejects the string at once.
+    (["witt", "ghost", "--witt", '{"trunc":1,"coeffs":["1e100000000"]}'],
+     2, "is not an integer or a fraction", 10),
+    (["class", "convert", "--class", '{"L":{"1e100000000":1}}'], 2, None, 10),
+    # The ghosts (3^m - 1)^100000 would have 30103 digits and more, past the
+    # digit limit of 4300; the exponent k is refused first, by the 2^15
+    # degree ceiling.
+    (["zeta", "quotient-check", "--k", "100000", "--q", "3", "--trunc", "5"],
+     1, "LimitExceeded", 60),
+    # Powers of degree 3000 and 30000 run by the one power kernel.
+    (["class", "bb", "--pieces", '[{"class":{"T":[1]},"d":3000}]'], 0, None, 10),
+    (["zeta", "hw", "--q", "2", "--class", '{"T":[3000]}'], 0, None, 10),
+    (["class", "convert", "--class", '{"L":{"30000":1}}'], 1, "LimitExceeded", 10),
+    # A degree past 2^15 is refused before any work.
+    (["class", "convert", "--class", '{"L":{"99999999999":1}}'], 1, "LimitExceeded", 10),
+    # (q - 1)^2500 leaves the symbolic quotient check by prefix sums.
+    (["zeta", "quotient-check", "--k", "2500", "--q", "q", "--trunc", "2"], 0, None, 10),
+    # T^30 at q = 3: each factor is under 2^15, the rational form is not.
+    (["zeta", "hw", "--q", "3", "--trunc", "3", "--class", '{"T":[' + "0," * 30 + '1]}'],
+     1, "LimitExceeded", 10),
+    # The check repeats with period n * lcm(orbit sizes), not kmax.
+    (["equivariant", "check", "--n", "2", "--kmax", "100000000", "--action", ACTION],
+     0, None, 10),
+    # A matrix power entry past 2^16 bits is refused before the next squaring.
+    (["endo", "frobenius", "--n", "100000000", "--matrix", '{"matrix":["2"]}'],
+     1, "LimitExceeded", 10),
+    # A zeta's ghost field prints first and is built from its ghosts before
+    # the series: a ghost past the digit limit ends the call.
+    (["zeta", "artin-mazur", "--trunc", "512", "--matrix", M16], 1, "LimitExceeded", 10),
 ]
 
 
-@pytest.mark.parametrize("argv", PAST_A_CEILING, ids=lambda argv: " ".join(argv[:2]))
-def test_size_past_its_ceiling_exits_at_once(argv):
+def _ends_as_its_row(argv, code, shows, seconds):
     start = time.perf_counter()
-    done = fresh_python("-m", "bcwitt.cli", *argv, timeout=10)
-    elapsed = time.perf_counter() - start
-    assert (done.returncode, done.stderr) == (1, "")
-    assert json.loads(done.stdout)["error"]["kind"] == "LimitExceeded"
-    assert elapsed < 1
+    done = fresh_python("-m", "bcwitt.cli", *argv, timeout=seconds)
+    assert time.perf_counter() - start < seconds
+    assert done.returncode == code, done.stderr
+    if code == 2:
+        assert done.stdout == "" and done.stderr
+        assert shows is None or shows in done.stderr
+    else:
+        assert done.stderr == ""
+        out = json.loads(done.stdout)
+        assert isinstance(out, dict)
+        assert out.get("error", {}).get("kind") == shows
+
+
+def _row_id(row) -> str:
+    return " ".join(row[0][:2])
+
+
+@pytest.mark.parametrize("row", [r for r in ENDINGS if r[3] == AT_ONCE], ids=_row_id)
+def test_size_past_its_ceiling_exits_at_once(row):
+    """The rows bounded by AT_ONCE: sizes refused before any work."""
+    _ends_as_its_row(*row)
+
+
+@pytest.mark.parametrize("row", [r for r in ENDINGS if r[3] != AT_ONCE], ids=_row_id)
+def test_ending_in_fresh_process(row):
+    """Every other row of ENDINGS."""
+    _ends_as_its_row(*row)
 
 
 def test_cli_import_loads_no_library_module():

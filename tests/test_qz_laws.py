@@ -4,7 +4,7 @@ The Bost-Connes relations sigma_n o rho_n = n id and rho_n o sigma_n =
 product with n pi_n, and the canonical form: every map on an element built
 directly from its pairs (repeated points, points outside [0, 1), int
 points, zero coefficients) equals the map on ``from_terms`` of the same
-pairs.
+pairs, and so do its queries ``is_zero`` and ``coeff``.
 """
 
 from fractions import Fraction
@@ -58,10 +58,14 @@ def test_rho_after_sigma_is_the_product_with_n_pi_n(ps, n):
 @LAWS
 @given(pairs, pairs, ns, st.integers(-3, 3), primes)
 @example(list(REPEATED), [], 2, 1, {2})
+@example([(Fraction(1, 2), 0), (Fraction(3, 2), 1), (Fraction(1, 2), -1)], [], 2, 1, {2})
 def test_maps_read_any_element_as_its_canonical_form(ps, qs, n, k, fset):
     a, b = raw(ps), raw(qs)
     ca, cb = QZElement.from_terms(ps), QZElement.from_terms(qs)
     assert QZElement.from_terms(a.terms) == ca
+    assert a.is_zero() == ca.is_zero()
+    for r, _ in ps:
+        assert a.coeff(Fraction(r)) == ca.coeff(Fraction(r))
     assert a + b == ca + cb
     assert -a == -ca
     assert a - b == ca - cb
