@@ -11,24 +11,23 @@ A zeta is its ghosts: ``zeta_ghosts`` alone decides them, and each series
 is their ``unghost``.  A disjoint union of tori is a Witt sum, so the
 torified zeta's ghosts are the sums of its parts' ghosts.
 
-Frobenius on the big Witt ring raises the endomorphism to a power, so
-det(1 - t M^m) = F_m det(1 - t M): its ghosts are those of det(1 - t M) at
-m, 2m, ..., dm, and det(I - M^m) is that degree-d polynomial at t = 1.  The
-Lefschetz numbers therefore come from one characteristic series and one
-ghost expansion, with no matrix powers or determinants.
-
 When the characteristic polynomial of M is a product of cyclotomic
-polynomials Phi_{m_i} (the quasi-unipotent case), the Lefschetz zeta has a
-closed form: with m = lcm(m_i),
+polynomials Phi_{m_i} (the quasi-unipotent case), every eigenvalue is a
+root of unity, so the Lefschetz numbers are periodic with period
+m = lcm(m_i): det(I - M^n) = F_{(n, m)}, where for k | m
 
-    zeta(t) = prod_{d | m} (1 - t^d)^(-s_d),
-    s_d = (1/d) sum_{k | d} F_k mu(d/k),
     F_k = prod_i Phi_{m_i/(k, m_i)}(1) ^ (phi(m_i)/phi(m_i/(k, m_i))),
 
-where Phi_r(1) is p for a prime power r = p^a, 0 for r = 1 (so F_k = 0
-when some m_i divides k) and 1 otherwise, as ``arith._divisor_table`` gives
-them with phi and mu.  The expansion of the closed form is checked against
-the exponential series in the tests.
+Phi_r(1) is p for a prime power r = p^a, 0 for r = 1 (so F_k = 0 when some
+m_i divides k) and 1 otherwise, as ``arith._divisor_table`` gives them with
+phi and mu (m = 1 and F_1 = 1 on the 0-torus).  The closed form is then
+
+    zeta(t) = prod_{d | m} (1 - t^d)^(-s_d),  s_d = (1/d) sum_{k | d} F_k mu(d/k).
+
+Any other map takes the general path, which the tests check the period
+against: det(1 - t M^n) is the n-th Witt Frobenius of det(1 - t M), so its
+ghosts are those of det(1 - t M) at n, 2n, ..., dn, and det(I - M^n) is
+that degree-d polynomial at t = 1.
 
 The spectral Euler characteristic of a quasi-unipotent matrix collects its
 eigenvalues (all roots of unity) into the group ring of Q/Z: each factor
@@ -44,7 +43,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Literal, Sequence
 
 from .arith import _divisor_table, cyclotomic_factor
-from .errors import DegenerateIterate, _json_list, _number, _numstr, _size
+from .errors import DegenerateIterate, NotQuasiUnipotent, _json_list, _number, _numstr, _size
 from . import linalg
 from .linalg import Matrix
 from .witt import GhostVector, WittVector, _unghost, ghost, unghost
@@ -79,14 +78,35 @@ class ToralMap(Record):
         return ToralMap.of([[_number(x) for x in _json_list(row, "each row")] for row in rows])
 
 
+def _cyclotomic_indices(m: Matrix) -> list[int]:  # raises NotQuasiUnipotent
+    return cyclotomic_factor(linalg.charpoly(m))
+
+
+def _period(indices: Sequence[int]) -> tuple[dict[int, tuple[int, int, int]], dict[int, int]]:
+    """The divisor table of m = lcm(m_i) and F_k = det(I - M^k) for k | m."""
+    table = _divisor_table(math.lcm(*indices))
+    f_k = {}
+    for k in table:
+        acc = 1
+        for mi in indices:
+            phi_r, _, at_one = table[mi // math.gcd(k, mi)]
+            acc *= at_one ** (table[mi][0] // phi_r)
+        f_k[k] = acc
+    return table, f_k
+
+
 def lefschetz_numbers(f: ToralMap, trunc: int) -> list[int]:
-    """det(I - M^n) for n = 1..trunc, as F_n det(1 - t M) at t = 1."""
+    """det(I - M^n) for n = 1..trunc: F_{(n, m)} if M is quasi-unipotent, else by ghosts."""
     _size("truncation", trunc)
     d = f.dim
-    if d == 0:
-        return [1] * trunc
-    g = ghost(WittVector.from_coeffs(linalg.char_series(f.matrix).coeffs[1:], trunc * d)).values
-    return [1 + sum(_unghost(g[n - 1::n][:d])) for n in range(1, trunc + 1)]
+    series = linalg.char_series(f.matrix)
+    try:
+        table, f_k = _period(cyclotomic_factor(series.reversed(d)))
+    except NotQuasiUnipotent:
+        g = ghost(WittVector.from_coeffs(series.coeffs[1:], trunc * d)).values
+        return [1 + sum(_unghost(g[n - 1::n][:d])) for n in range(1, trunc + 1)]
+    period = max(table)
+    return [f_k[math.gcd(n, period)] for n in range(1, trunc + 1)]
 
 
 ZetaKind = Literal["lefschetz", "artin_mazur"]
@@ -131,17 +151,7 @@ class LefschetzZeta(Record):
 
 def lefschetz_zeta_closed(f: ToralMap) -> LefschetzZeta:
     """Exact closed form for a quasi-unipotent toral map."""
-    indices = cyclotomic_factor(linalg.charpoly(f.matrix))
-    # Every divisor of m = lcm(m_i) (m = 1 for the 0-torus, whose zeta is
-    # 1/(1 - t)) with (phi, mu, Phi(1)); each reduced index m_i/(k, m_i) is one.
-    table = _divisor_table(math.lcm(*indices))
-    f_k = {}
-    for k in table:
-        acc = 1
-        for mi in indices:
-            phi_r, _, at_one = table[mi // math.gcd(k, mi)]
-            acc *= at_one ** (table[mi][0] // phi_r)
-        f_k[k] = acc
+    table, f_k = _period(_cyclotomic_indices(f.matrix))
     # s_d d = sum over e | d of mu(e) F_{d/e}, and mu(e) = 0 unless e is squarefree.
     squarefree = [(e, mu) for e, (_, mu, _) in table.items() if mu]
     exponents = {}
@@ -173,7 +183,7 @@ def spectral_euler(m: Matrix | ToralMap) -> QZElement:
     from .qz import _primitive_points
 
     mat = m.matrix if isinstance(m, ToralMap) else linalg.as_matrix(m)
-    return _primitive_points(Counter(cyclotomic_factor(linalg.charpoly(mat))))
+    return _primitive_points(Counter(_cyclotomic_indices(mat)))
 
 
 def verschiebung_block(n: int, m: Matrix | ToralMap) -> Matrix:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import bcwitt
+from bcwitt.arith import Polynomial, cyclotomic
 from bcwitt.cli import COMMANDS, main
 
 SRC = str(Path(bcwitt.__file__).resolve().parents[1])
@@ -152,9 +153,24 @@ def test_no_output_reads_the_environment():
 # the call must show, seconds).  What it shows is, for exit 2, a fragment of
 # its stderr (None: any message), and for exit 0 or 1 the kind of its error
 # JSON (None: no error).  Each row runs in a fresh interpreter.
-AT_ONCE = 1  # seconds: a size past its ceiling is refused before any work
+# Seconds: a size past its ceiling is refused before any work, and the
+# zetas of a quasi-unipotent map are read from one period of its numbers.
+AT_ONCE = 1
 _M16 = random.Random(1)
 M16 = json.dumps({"rows": [[_M16.randint(-3, 3) for _ in range(16)] for _ in range(16)]})
+
+
+def _companion_rows(indices):
+    """The rows of the companion matrix of prod Phi_m over the indices."""
+    p = Polynomial([1])
+    for m in indices:
+        p = p * cyclotomic(m)
+    d = p.degree
+    return [[int(i == j + 1) if j < d - 1 else -p.coeffs[i] for j in range(d)] for i in range(d)]
+
+
+# Phi_3 Phi_5 Phi_16 Phi_38 Phi_51 has degree 2 + 4 + 8 + 18 + 32 = 64, the dimension ceiling.
+C64 = json.dumps({"rows": _companion_rows([3, 5, 16, 38, 51])})
 ENDINGS = [
     # Calls that ran until killed before their size had a ceiling in
     # errors._SIZES.
@@ -209,6 +225,11 @@ ENDINGS = [
     # A zeta's ghost field prints first and is built from its ghosts before
     # the series: a ghost past the digit limit ends the call.
     (["zeta", "artin-mazur", "--trunc", "512", "--matrix", M16], 1, "LimitExceeded", 10),
+    # A quasi-unipotent map's Lefschetz numbers are read from one period,
+    # here lcm(3, 5, 16, 38, 51) = 38760, with no ghost expansion to 512 * 64.
+    # Its first zero, at n = 3, ends the Artin-Mazur series.
+    (["zeta", "lefschetz", "--series", "--trunc", "512", "--matrix", C64], 0, None, AT_ONCE),
+    (["zeta", "artin-mazur", "--trunc", "512", "--matrix", C64], 1, "DegenerateIterate", AT_ONCE),
 ]
 
 
@@ -231,9 +252,21 @@ def _row_id(row) -> str:
     return " ".join(row[0][:2])
 
 
-@pytest.mark.parametrize("row", [r for r in ENDINGS if r[3] == AT_ONCE], ids=_row_id)
+def _past_a_ceiling(row) -> bool:
+    return row[3] == AT_ONCE and row[2] == "LimitExceeded"
+
+
+@pytest.mark.parametrize("row", list(filter(_past_a_ceiling, ENDINGS)), ids=_row_id)
 def test_size_past_its_ceiling_exits_at_once(row):
-    """The rows bounded by AT_ONCE: sizes refused before any work."""
+    """The rows bounded by AT_ONCE that end in LimitExceeded: sizes refused
+    before any work."""
+    _ends_as_its_row(*row)
+
+
+@pytest.mark.parametrize("row", [r for r in ENDINGS if r[3] == AT_ONCE
+                                 and not _past_a_ceiling(r)], ids=_row_id)
+def test_periodic_zeta_exits_at_once(row):
+    """The other rows bounded by AT_ONCE: zetas of a quasi-unipotent map."""
     _ends_as_its_row(*row)
 
 

@@ -5,11 +5,14 @@ fixed-point counts, so the library decides them once and ``unghost``s them.
 The oracles are the former ways to the same outputs: the Artin-Mazur loop
 over the Lefschetz numbers, the torified product of per-torus series by
 ``witt_add``, and the CLI's series output, which recovered its ghost field
-from the series by ``ghost``.
+from the series by ``ghost``.  The Lefschetz numbers of a quasi-unipotent
+map are read from one period; the ghost expansion that the library keeps
+for every other map is their oracle here.
 """
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -17,16 +20,26 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from bcwitt import cli, errors  # noqa: E402
+from bcwitt import cli, errors, linalg  # noqa: E402
 from bcwitt.arith import Polynomial, cyclotomic, totient  # noqa: E402
 from bcwitt.dynamical import (  # noqa: E402
     ToralMap, artin_mazur_series, lefschetz_numbers, lefschetz_zeta_series,
     torified_dynamical_zeta, zeta_ghosts)
 from bcwitt.errors import DegenerateIterate  # noqa: E402
-from bcwitt.witt import GhostVector, WittVector, ghost, unghost, witt_add  # noqa: E402
+from bcwitt.witt import GhostVector, WittVector, _unghost, ghost, unghost, witt_add  # noqa: E402
 
 KINDS = ("lefschetz", "artin_mazur")
 SUBCOMMAND = {"lefschetz": ["lefschetz", "--series"], "artin_mazur": ["artin-mazur"]}
+
+
+def _lefschetz_numbers_oracle(f, trunc):
+    """det(I - M^n) as the n-th Witt Frobenius of det(1 - t M) at t = 1, from
+    one ghost expansion of the characteristic series, for any map."""
+    d = f.dim
+    if d == 0:
+        return [1] * trunc
+    g = ghost(WittVector.from_coeffs(linalg.char_series(f.matrix).coeffs[1:], trunc * d)).values
+    return [1 + sum(_unghost(g[n - 1::n][:d])) for n in range(1, trunc + 1)]
 
 
 def _artin_mazur_oracle(f, trunc):
@@ -155,3 +168,65 @@ def test_torified_zeta_is_the_product_of_the_parts(parts, trunc, kind):
             torified_dynamical_zeta(bad, trunc, "other")
     with pytest.raises(ValueError, match="unknown zeta kind 'other'"):
         zeta_ghosts(ToralMap.of([[2]]), trunc, "other")
+
+
+def _fit(indices, room=24):
+    """The indices in order, each kept while the degrees so far sum to <= room."""
+    kept = []
+    for m in indices:
+        if totient(m) <= room:
+            kept.append(m)
+            room -= totient(m)
+    return kept
+
+
+@st.composite
+def quasi_unipotent_maps(draw):
+    """(indices, map): the companion of prod Phi_m over the indices, or the
+    block sum of the companions of each Phi_m, in a permuted basis; m <= 60
+    and dimension <= 24."""
+    indices = draw(st.lists(st.integers(1, 60), max_size=12).map(_fit))
+    if draw(st.booleans()):
+        rows = _companion(indices).matrix
+    else:
+        rows = ()
+        for m in indices:
+            rows = linalg.block_diag(rows, _companion([m]).matrix)
+    p = draw(st.permutations(range(len(rows))))
+    return indices, ToralMap.of([[rows[i][j] for j in p] for i in p])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(qu=quasi_unipotent_maps(), trunc=st.integers(1, 200))
+@example(qu=([], ToralMap.of([])), trunc=3)
+@example(qu=([3, 5, 16], _companion([3, 5, 16])), trunc=200)
+@example(qu=([60, 1], _companion([60, 1])), trunc=1)
+def test_quasi_unipotent_lefschetz_numbers_are_one_period(qu, trunc):
+    """The period equals the ghost path in value and type, repeats with
+    period lcm(m_i), and is first 0 at n = min(m_i)."""
+    indices, f = qu
+    got = lefschetz_numbers(f, trunc)
+    assert got == _lefschetz_numbers_oracle(f, trunc)
+    assert {type(a) for a in got} <= {int}
+    period = math.lcm(*indices)
+    assert got == [got[math.gcd(n, period) - 1] for n in range(1, trunc + 1)]
+    least = min(indices, default=trunc + 1)
+    if least <= trunc:
+        want = ("DegenerateIterate", least)
+    else:
+        want = ("value", _artin_mazur_oracle(f, trunc))
+    assert _outcome(lambda: artin_mazur_series(f, trunc)) == want
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(f=st.integers(1, 12).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d)).map(
+    ToralMap.of), trunc=st.integers(1, 40))
+@example(f=ToralMap.of([[2, 1], [1, 1]]), trunc=40)
+@example(f=ToralMap.of([[0, 1], [0, 0]]), trunc=40)
+def test_lefschetz_numbers_fall_back_to_the_ghost_path(f, trunc):
+    """Random matrices, nearly all of them not quasi-unipotent (an eigenvalue
+    off the unit circle, or 0), take the ghost path."""
+    got = lefschetz_numbers(f, trunc)
+    assert got == _lefschetz_numbers_oracle(f, trunc)
+    assert {type(a) for a in got} <= {int}
