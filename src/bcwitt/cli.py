@@ -335,11 +335,9 @@ def run(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Python before 3.10.7 has no digit limit to set.
-    old = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    old = sys.get_int_max_str_digits()
     try:
-        if old is not None:
-            sys.set_int_max_str_digits(lib.errors._MAX_STR_DIGITS)
+        sys.set_int_max_str_digits(lib.errors._MAX_STR_DIGITS)
         return run(argv)
     except UsageError as exc:
         print(f"bcwitt: {exc}", file=sys.stderr)
@@ -354,8 +352,7 @@ def main(argv: list[str] | None = None) -> int:
                          separators=(",", ":")))
         return 1
     finally:
-        if old is not None:
-            sys.set_int_max_str_digits(old)
+        sys.set_int_max_str_digits(old)
 
 
 if __name__ == "__main__":

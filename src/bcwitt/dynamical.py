@@ -11,23 +11,24 @@ A zeta is its ghosts: ``zeta_ghosts`` alone decides them, and each series
 is their ``unghost``.  A disjoint union of tori is a Witt sum, so the
 torified zeta's ghosts are the sums of its parts' ghosts.
 
-When the characteristic polynomial of M is a product of cyclotomic
-polynomials Phi_{m_i} (the quasi-unipotent case), every eigenvalue is a
-root of unity, so the Lefschetz numbers are periodic with period
-m = lcm(m_i): det(I - M^n) = F_{(n, m)}, where for k | m
+A zero eigenvalue adds a factor 1 - 0^n = 1 to det(I - M^n), so only the
+nonzero ones count: the roots of the reversal of det(1 - t M).  When that
+reversal is a product of cyclotomic polynomials Phi_{m_i}, they are roots of
+unity, and the Lefschetz numbers are periodic with period m = lcm(m_i):
+det(I - M^n) = F_{(n, m)}, where for k | m
 
     F_k = prod_i Phi_{m_i/(k, m_i)}(1) ^ (phi(m_i)/phi(m_i/(k, m_i))),
 
 Phi_r(1) is p for a prime power r = p^a, 0 for r = 1 (so F_k = 0 when some
 m_i divides k) and 1 otherwise, as ``arith._divisor_table`` gives them with
-phi and mu (m = 1 and F_1 = 1 on the 0-torus).  The closed form is then
+phi and mu (m = 1 and F_1 = 1 when M is nilpotent).  The closed form is then
 
     zeta(t) = prod_{d | m} (1 - t^d)^(-s_d),  s_d = (1/d) sum_{k | d} F_k mu(d/k).
 
 Any other map takes the general path, which the tests check the period
 against: det(1 - t M^n) is the n-th Witt Frobenius of det(1 - t M), so its
-ghosts are those of det(1 - t M) at n, 2n, ..., dn, and det(I - M^n) is
-that degree-d polynomial at t = 1.
+ghosts are those of det(1 - t M) at n, 2n, ..., en, with e the degree of
+det(1 - t M), and det(I - M^n) is that degree-e polynomial at t = 1.
 
 The spectral Euler characteristic of a quasi-unipotent matrix collects its
 eigenvalues (all roots of unity) into the group ring of Q/Z: each factor
@@ -46,7 +47,7 @@ from .arith import _divisor_table, cyclotomic_factor
 from .errors import DegenerateIterate, NotQuasiUnipotent, _json_list, _number, _numstr, _size
 from . import linalg
 from .linalg import Matrix
-from .witt import GhostVector, WittVector, _unghost, ghost, unghost
+from .witt import GhostVector, WittVector, ghost, unghost
 from .record import Record, _canonical
 
 if TYPE_CHECKING:
@@ -96,15 +97,17 @@ def _period(indices: Sequence[int]) -> tuple[dict[int, tuple[int, int, int]], di
 
 
 def lefschetz_numbers(f: ToralMap, trunc: int) -> list[int]:
-    """det(I - M^n) for n = 1..trunc: F_{(n, m)} if M is quasi-unipotent, else by ghosts."""
+    """det(I - M^n) for n = 1..trunc: F_{(n, m)} if every nonzero eigenvalue
+    of M is a root of unity, else by ghosts."""
     _size("truncation", trunc)
-    d = f.dim
     series = linalg.char_series(f.matrix)
     try:
-        table, f_k = _period(cyclotomic_factor(series.reversed(d)))
+        table, f_k = _period(cyclotomic_factor(series.reversed()))
     except NotQuasiUnipotent:
-        g = ghost(WittVector.from_coeffs(series.coeffs[1:], trunc * d)).values
-        return [1 + sum(_unghost(g[n - 1::n][:d])) for n in range(1, trunc + 1)]
+        e = series.degree
+        g = ghost(WittVector.from_coeffs(series.coeffs[1:], trunc * e)).values
+        return [1 + sum(unghost(GhostVector.of(g[n - 1::n][:e])).coeffs)
+                for n in range(1, trunc + 1)]
     period = max(table)
     return [f_k[math.gcd(n, period)] for n in range(1, trunc + 1)]
 

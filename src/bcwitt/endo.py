@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import Polynomial, _primitive_int, divisors
+from .arith import Polynomial, _norm_coeff, _primitive_int, divisors
 from .errors import NotSplit, _json_list, _number, _numstr, _size
 from . import linalg
 from .linalg import Matrix
@@ -55,7 +55,7 @@ class EndoObject(Record):
 
     @staticmethod
     def diag(values) -> "EndoObject":
-        vals = list(values)
+        vals = [_norm_coeff(v) for v in values]
         return EndoObject(tuple(
             tuple(vals[i] if i == j else 0 for j in range(len(vals)))
             for i in range(len(vals))))
@@ -138,8 +138,6 @@ def _linear_roots(p: Polynomial) -> list[Fraction]:
 def _find_rational_root(p: Polynomial):
     lead = p.coeffs[-1]
     const = p.coeffs[0]
-    if const == 0:
-        return Fraction(0)
     for u in divisors(abs(int(const))):
         for v in divisors(abs(int(lead))):
             for cand in (Fraction(u, v), Fraction(-u, v)):

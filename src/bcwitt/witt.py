@@ -30,9 +30,6 @@ costs O(N * degree).  ``ghost``, ``unghost``, ``series_mul``, ``series_div`` and
 matrix layers reach them through det(1 - t M)), beside the product and division
 loops of ``arith.Polynomial``.  Each series loop keeps its past outputs in a
 buffer newest first, so every inner sum is one ``sum(map(mul, coeffs, rev))``.
-``_unghost`` is the body of ``unghost`` on a plain sequence of values,
-returning the coefficients with no vector built:
-``dynamical.lefschetz_numbers`` calls it once per iterate.
 
 Operations follow the Witt dictionary: addition is the series product,
 multiplication is pointwise on ghosts, the Teichmueller lift of a is the
@@ -211,10 +208,11 @@ def ghost(w: WittVector) -> GhostVector:
     return GhostVector(w.trunc, tuple(_unclear(rev[::-1], E)))
 
 
-def _unghost(values: Sequence[Scalar]) -> Sequence[Scalar]:
-    """The coefficients c_1..c_N of the series with ghosts N_1..N_N: the
-    body of ``unghost`` on plain int/Fraction values, with no vector built."""
-    E, v = _clear(values)
+def unghost(g: GhostVector) -> WittVector:
+    """Series with the given ghost components (exp of the generating series)."""
+    if g.is_symbolic():
+        raise ValueError("cannot expand a symbolic ghost vector; take q -> value first")
+    E, v = _clear(g.values)
     # rev holds S c_{m-1}, ..., S c_1 (scaled by E^m); S grows by the least
     # factor that makes each inexact division by m exact.
     S = 1
@@ -231,14 +229,7 @@ def _unghost(values: Sequence[Scalar]) -> Sequence[Scalar]:
             rev.insert(0, s // m)
         else:
             rev.insert(0, _norm_coeff(Fraction(s, m)))
-    return _unclear(rev[::-1], E, S)
-
-
-def unghost(g: GhostVector) -> WittVector:
-    """Series with the given ghost components (exp of the generating series)."""
-    if g.is_symbolic():
-        raise ValueError("cannot expand a symbolic ghost vector; take q -> value first")
-    return WittVector(g.trunc, tuple(_unghost(g.values)))
+    return WittVector(g.trunc, tuple(_unclear(rev[::-1], E, S)))
 
 
 # ------------------------------------------------------------ ring structure

@@ -207,8 +207,6 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(out)["error"]["kind"] == "HalfTwistPresent"
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="this Python prints ints of any length")
 def test_output_past_the_digit_limit(capsys, monkeypatch):
     """A valid call whose output holds a number past bcwitt's digit limit
     exits 1 with LimitExceeded: from a numeric string, from a JSON integer,
@@ -238,8 +236,6 @@ def test_output_past_the_digit_limit(capsys, monkeypatch):
         assert run_cli(capsys, *argv)[0] == 0
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="this Python prints ints of any length")
 def test_digit_limit_is_restored(capsys):
     """main applies bcwitt's limit for the call alone: the caller's own
     setting holds after it, on success and on failure."""
@@ -477,6 +473,28 @@ def test_usage_errors(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "must be a JSON list" in err, argv
+    # Each input check ends in its own usage message.
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    elem = '{"terms":[{"r":"1/3","c":1}]}'
+    for argv, message in (
+            (("zeta", "lefschetz", "--closed", "--matrix", '{"rows":[["1/2"]]}'),
+             "toral maps need integer matrices"),
+            (("zeta", "lefschetz", "--closed", "--matrix", '{"rows":[[1,2]]}'),
+             "matrix must be square"),
+            (("qz", "split", "--primes", "4", "--elem", elem), "split needs a set of primes"),
+            (("qz", "split", "--primes", "a", "--elem", elem), "comma list of primes"),
+            (("class", "points", "--m", "5", "--input", str(listed)),
+             "must contain a JSON object"),
+            (("class", "convert", "--class", '{"L":{"1/3":1}}'), "not a half-integer"),
+            (("equivariant", "sigma", "--n", "2", "--action",
+              '{"total":{"level":2,"perm":[1,0]},"base":{"level":2,"perm":[0]},"map":[0]}'),
+             "the map must be defined on every point of the total set"),
+            (("witt", "add", "--a", '{"trunc":2,"coeffs":[1,2]}',
+              "--b", '{"trunc":3,"coeffs":[1,2,3]}'), "truncations differ")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, argv
 
 
 def test_input_file(tmp_path, capsys):

@@ -113,8 +113,6 @@ def test_subcommand_in_fresh_process(group, name, capsys):
     assert code == 0
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="this Python prints ints of any length")
 def test_digit_limit_does_not_depend_on_the_interpreter():
     """2^20000 has 6021 digits: past bcwitt's limit of 4300 whether the
     interpreter's own limit is the default or off (0)."""

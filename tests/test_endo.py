@@ -101,6 +101,7 @@ def test_phi_mu():
     g = phi_mu(z)
     assert g.plus.matrix == ((3,),)
     assert g.minus.matrix == ((1,),)
+    assert type(g.plus.matrix[0][0]) is int and type(g.minus.matrix[0][0]) is int
     g0 = phi_mu(RationalWitt.one())
     assert g0.plus.dim == 0 and g0.minus.dim == 0
     # 1 - t^2 = (1 - t)(1 + t) splits.
