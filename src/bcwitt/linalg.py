@@ -2,7 +2,9 @@
 
 Matrices are tuples of row tuples with int/Fraction entries.  The one
 spectral kernel is ``char_series``, det(1 - t M), computed modulo one prime
-from a table sized to CPython's 30-bit int digits and lifted back exactly;
+from a table sized to CPython's 30-bit int digits and lifted back exactly
+(its Hessenberg reduction takes the indices in chain order, which leaves a
+permuted companion nothing to eliminate and det(1 - t M) unchanged);
 the rest are the products, powers and block constructions the other modules
 and tests build matrices with.  ``det`` is plain Gaussian elimination over
 Fraction; only the tests call it.
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import add, attrgetter, itemgetter, mul
 from typing import Sequence, Union
 
@@ -47,7 +49,7 @@ _SQUARES = tuple(p * p for p in _PRIMES)
 
 def as_matrix(rows: Sequence[Sequence[Entry]]) -> Matrix:
     _size("matrix dimension", len(rows))
-    mat = tuple(tuple(Fraction(x) if not isinstance(x, (int, Fraction)) else x for x in row)
+    mat = tuple(tuple(x if type(x) is int else _norm_coeff(Fraction(x)) for x in row)
                 for row in rows)
     if any(len(row) != len(mat) for row in mat):
         raise ValueError("matrix must be square")
@@ -141,6 +143,26 @@ def _prime_above(square: int) -> int:
     raise ValueError("characteristic series bound exceeds the largest tabled prime")
 
 
+def _chain_order(a: Sequence[Sequence[int]]) -> list[int] | None:
+    """An order of a's indices that runs each chain of sparse columns down
+    the subdiagonal, or None if a has no such column.  A column whose one
+    off-diagonal nonzero is in row i leads to i; a chain starts where no
+    column leads (then, for cycles, at the first index left) and follows
+    the leads until it meets a placed index."""
+    n, lead = len(a), {}
+    for j, col in enumerate(zip(*a)):
+        if col.count(0) == n - 1 - (col[j] != 0):
+            (lead[j],) = set(compress(range(n), col)) - {j}
+    if not lead:
+        return None
+    led, order = set(lead.values()), {}
+    for i in chain((i for i in range(n) if i not in led), range(n)):
+        while i not in order:
+            order[i] = None
+            i = lead.get(i, i)
+    return list(order)
+
+
 def char_series(m: Matrix) -> Polynomial:
     """det(1 - t M) as a polynomial, by Hessenberg reduction mod one prime.
 
@@ -157,7 +179,10 @@ def char_series(m: Matrix) -> Polynomial:
     above the bound gives the same result, so correctness does not rest on
     ``sys.int_info.bits_per_digit``.  A is reduced to upper Hessenberg form
     H by similarity mod p (Cohen, Alg. 2.2.9), and det(1 - t H) follows
-    from the recurrence along its subdiagonal.
+    from the recurrence along its subdiagonal.  The reduction takes A's
+    indices in ``_chain_order``, a permutation similarity that keeps
+    det(1 - t A), the row norms and so p: a permuted companion or block
+    companion then starts upper Hessenberg, where index order fills in.
     """
     n = len(m)
     integral = set(map(type, chain.from_iterable(m))) <= {int}
@@ -165,6 +190,10 @@ def char_series(m: Matrix) -> Polynomial:
     a = m if integral else [[int(x * den) for x in row] for row in m]
     r2 = max((sum(map(mul, row, row)) for row in a), default=0)
     p = _prime_above(max(4 * math.comb(n, k) ** 2 * r2**k for k in range(n + 1)))
+    order = _chain_order(a)
+    if order:
+        get = itemgetter(*order)
+        a = map(get, get(a))
     h = [list(map(p.__rmod__, row)) for row in a]
     for k in range(1, n - 1):
         # Clear column k - 1 below the subdiagonal with pivot row k.

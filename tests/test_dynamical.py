@@ -63,6 +63,13 @@ def test_lefschetz_numbers():
         assert err.value.n == n
 
 
+def test_toral_map_takes_integral_fractions():
+    for f in (ToralMap.of([[Fraction(6, 2)]]), ToralMap.from_json({"rows": [["6/2"]]})):
+        assert f.matrix == ((3,),) and type(f.matrix[0][0]) is int
+    with pytest.raises(ValueError, match="integer matrices"):
+        ToralMap.of([[Fraction(1, 2)]])
+
+
 def test_lefschetz_numbers_match_power_determinants():
     rng = random.Random(211)
     for _ in range(20):
@@ -420,6 +427,88 @@ def test_char_series_edge_cases():
         rng.shuffle(perm)
         m = linalg.as_matrix([[block[i][j] for j in perm] for i in perm])
         assert _same(linalg.char_series(m), power_trace_char_series(m))
+
+
+def _monic_companion_blocks(rng, d):
+    """Companions of random monic polynomials with coefficients in [-4, 4]
+    (zero constants included), block-summed to dimension d."""
+    rows = ()
+    while len(rows) < d:
+        k = rng.randint(1, d - len(rows))
+        p = Polynomial([rng.randint(-4, 4) for _ in range(k)] + [1])
+        rows = linalg.block_diag(rows, companion(p).matrix)
+    return rows
+
+
+def test_chain_order_makes_permuted_companions_hessenberg():
+    """Permuted companions and block companions, of cyclotomic products and
+    of random monic polynomials, are upper Hessenberg in the chain order."""
+    rng = random.Random(608)
+    for trial in range(300):
+        d = rng.randint(1, 24)
+        if trial % 2:
+            rows = _permuted(_monic_companion_blocks(rng, d), rng)
+        else:
+            rows = _quasi_unipotent(rng, d)[0].matrix
+        order = linalg._chain_order(rows) or range(d)
+        assert sorted(order) == list(range(d))
+        h = [[rows[i][j] for j in order] for i in order]
+        assert all(not h[i][j] for j in range(d) for i in range(j + 2, d))
+
+
+def _permutation_test_matrices(seed, count):
+    """Sparse, dense, rational and derogatory matrices of dimension 0-16, in
+    turn; the sparse ones have columns with one off-diagonal nonzero, which
+    form chains, cycles and several leads to one row."""
+    rng = random.Random(seed)
+    small = lambda: rng.choice((-3, -2, -1, 1, 2, 3))
+    for trial in range(count):
+        d = trial % 17
+        kind = trial % 4
+        if kind == 0:
+            cols = []
+            for j in range(d):
+                col = [0] * d
+                if rng.random() < 0.6:
+                    col[rng.randrange(d)] = small()
+                    col[j] = rng.choice((0, 0, small()))
+                else:
+                    col = [small() if rng.random() < 0.3 else 0 for _ in range(d)]
+                cols.append(col)
+            rows = [list(row) for row in zip(*cols)]
+        elif kind == 1:
+            bound = rng.choice((3, 10**6))
+            rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
+        elif kind == 2:
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.4 else 0
+                     for _ in range(d)] for _ in range(d)]
+        else:
+            half = _monic_companion_blocks(rng, d // 2) if d // 2 else ()
+            rows = linalg.block_diag(half, half)
+            if d % 2:
+                rows = linalg.block_diag(rows, ((rng.randint(-3, 3),),))
+            c = rng.randint(-2, 2)
+            rows = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        yield linalg.as_matrix(rows)
+
+
+def test_char_series_is_invariant_under_permutation():
+    """det(1 - t P M P^T) = det(1 - t M) in value and coefficient type: the
+    chain order is a permutation similarity, so it moves no output."""
+    rng = random.Random(609)
+    for m in _permutation_test_matrices(610, 400):
+        expected = linalg.char_series(m)
+        for _ in range(3):
+            assert _same(linalg.char_series(linalg.as_matrix(_permuted(m, rng))), expected)
+
+
+def test_char_series_in_chain_order_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _permutation_test_matrices(611, 200):
+        if len(m) <= 6:
+            expected = sympy.Matrix(len(m), len(m), [x for row in m for x in row]).charpoly()
+            expected = [Fraction(int(c.p), int(c.q)) for c in expected.all_coeffs()]
+            assert linalg.char_series(m) == Polynomial(expected)
 
 
 def _lucas_lehmer(e):

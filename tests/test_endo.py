@@ -131,6 +131,9 @@ def test_json_roundtrip():
     assert EndoObject.from_json(e.to_json()) == e
     assert e.to_json() == {"matrix": ["0", "1/2", "1", "0"]}
     assert EndoObject.from_json({"matrix": []}) == EndoObject.of([])
+    # An integral Fraction is stored as an int, as from_json stores "6/2".
+    for e in (EndoObject.of([[Fraction(3)]]), EndoObject.from_json({"matrix": ["6/2"]})):
+        assert e.matrix == ((3,),) and type(e.matrix[0][0]) is int
     for size in (2, 8, 24, 26, 99):
         with pytest.raises(ValueError):
             EndoObject.from_json({"matrix": ["1"] * size})
