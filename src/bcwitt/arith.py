@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import count
+from operator import attrgetter, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import NotQuasiUnipotent, _size
@@ -72,35 +73,40 @@ def _least_cover(r: int, m: int) -> int:
     return f
 
 
-def _clear(xs: Sequence[Coeff], E: int = 1) -> tuple[int, Sequence[Coeff]]:
-    """Scale x_1, x_2, ... to x_m * E^m, the homothety t -> E t.
+_denominator = attrgetter("denominator")  # 1 for an int
 
-    On power series 1 + sum x_m t^m this is Witt multiplication by the
-    Teichmueller [E]: it multiplies ghosts N_m by E^m as well, commutes with
-    the series quotient, and maps ghost to ghost and unghost to unghost.
-    E starts at the given value and grows one index at a time: when
-    den(x_m) does not divide E^m, E is multiplied by the least f that makes
-    the p-part of the residual divide (E f)^m for every prime p < 1000, and
-    by the whole residual at m = 1.  So den(x_m) | E^m for 1000-smooth
-    denominators, and E is the least such value; any other part of a
-    denominator stays in the scaled Fraction.  If E would pass
-    _CLEAR_MAX_BITS bits, it keeps its starting value instead.  With E = 1
-    throughout, xs itself comes back.
-    """
+
+def _cover(dens: Iterable[int], E: int = 1) -> int:
+    """The least E from the given start with d_m | E^m for 1000-smooth d_m.
+
+    When d_m does not divide E^m, E grows by the least f that makes the
+    p-part of the residual divide (E f)^m for every prime p < 1000, and by
+    the whole residual at m = 1.  Past _CLEAR_MAX_BITS bits, the start
+    comes back instead."""
     E0, Em = E, 1
-    for m, x in enumerate(xs, 1):
+    for m, d in enumerate(dens, 1):
         Em *= E
-        if type(x) is Fraction:
-            d = x.denominator
+        if d > 1:
             r = d // math.gcd(d, Em)
             if r > 1:
                 f = r if m == 1 else _least_cover(r, m)
                 if f > 1:
                     E *= f
                     if E.bit_length() > _CLEAR_MAX_BITS:
-                        E = E0
-                        break
+                        return E0
                     Em = E**m
+    return E
+
+
+def _clear(xs: Sequence[Coeff], E: int = 1) -> tuple[int, Sequence[Coeff]]:
+    """Scale x_1, x_2, ... to x_m * E^m, the homothety t -> E t.
+
+    On power series 1 + sum x_m t^m this is Witt multiplication by the
+    Teichmueller [E]: it multiplies ghosts N_m by E^m as well, commutes with
+    the series quotient, and maps ghost to ghost and unghost to unghost.
+    E is :func:`_cover` of the denominators from the given start; the rest of
+    a denominator stays in the scaled Fraction.  With E = 1, xs comes back."""
+    E = _cover(map(_denominator, xs), E)
     if E == 1:
         return 1, xs
     out = []
@@ -132,12 +138,12 @@ def _unclear(bs: Sequence[Coeff], E: int, S: int = 1) -> Sequence[Coeff]:
 def _power_series(p: Sequence[Coeff], k: int, n: int) -> list[Coeff]:
     """Coefficients 0..n of P^k, for p_0 != 0 and any integer k, by J. C. P.
     Miller's recurrence m p_0 q_m = sum_{j>=1} ((k+1) j - m) p_j q_{m-j} (Knuth,
-    TAOCP vol. 2, 4.7), a term per p_j; with p_0 = 1 it is ghost(P^k) = k ghost(P)."""
+    TAOCP vol. 2, 4.7), one weighted sum per step (``count`` allows the zero step
+    of the weights at k = -1); with p_0 = 1 it is ghost(P^k) = k ghost(P)."""
     a = p[1:n + 1]
-    ja = [j * x for j, x in enumerate(a, 1)]
     rev = [_norm_coeff(p[0] ** k if k >= 0 else Fraction(p[0]) ** k)]  # q_{m-1}, ..., q_0
     for m in range(1, n + 1):
-        s = (k + 1) * sum(map(mul, ja, rev)) - m * sum(map(mul, a, rev))
+        s = sum(map(mul, map(mul, a, count(k + 1 - m, k + 1)), rev))
         q, r = divmod(s, m * p[0])  # q is an int; exact when r = 0
         rev.insert(0, Fraction(s, m * p[0]) if r else q)
     return rev[::-1]
@@ -256,10 +262,16 @@ class Polynomial:
 
     def substitute_power(self, n: int) -> "Polynomial":
         """Return p(t^n)."""
-        out = [0] * (len(self.coeffs) * _size("index", n))
-        for k, c in enumerate(self.coeffs):
-            out[k * n] = c
-        return Polynomial(out)
+        out = [0] * ((len(self.coeffs) - 1) * _size("index", n) + 1)
+        out[::n] = self.coeffs
+        return Polynomial._normal(tuple(out))
+
+    @classmethod
+    def _normal(cls, coeffs: tuple[Coeff, ...]) -> "Polynomial":
+        """Wrap a tuple already normal: canonical entries, no trailing zero."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
     def reversed(self, degree: int | None = None) -> "Polynomial":
         """Coefficient reversal t^d * p(1/t), padding up to ``degree`` if given."""

@@ -47,7 +47,7 @@ from .arith import _divisor_table, cyclotomic_factor
 from .errors import DegenerateIterate, NotQuasiUnipotent, _json_list, _number, _numstr, _size
 from . import linalg
 from .linalg import Matrix
-from .witt import GhostVector, WittVector, ghost, unghost
+from .witt import GhostVector, WittVector, _unghosts, ghost, unghost
 from .record import Record, _canonical
 
 if TYPE_CHECKING:
@@ -106,8 +106,7 @@ def lefschetz_numbers(f: ToralMap, trunc: int) -> list[int]:
     except NotQuasiUnipotent:
         e = series.degree
         g = ghost(WittVector.from_coeffs(series.coeffs[1:], trunc * e)).values
-        return [1 + sum(unghost(GhostVector.of(g[n - 1::n][:e])).coeffs)
-                for n in range(1, trunc + 1)]
+        return [1 + sum(_unghosts(1, g[n - 1::n][:e])) for n in range(1, trunc + 1)]
     period = max(table)
     return [f_k[math.gcd(n, period)] for n in range(1, trunc + 1)]
 

@@ -13,20 +13,23 @@ arithmetic.  Rational input is first scaled by the homothety t -> E t
 Part 1*, arXiv:0804.3888, section 9), which multiplies c_m and N_m alike
 by E^m: ``arith._clear`` picks the least E that makes the scaled values
 integral, the loops run on them in Z, and ``arith._unclear`` divides by
-E^m once per entry at the end.  ``unghost`` keeps S c_m for a common
+E^m once per entry at the end.  ``_unghosts`` keeps S c_m for a common
 denominator S of its divisions by m: an inexact one multiplies S and every
 stored value by the least factor that makes it exact, and ``_unclear``
-divides S out with E^m.  ``series_div`` runs on the same homothety;
-``series_mul`` does not, because a product has no powers of its entries,
-so E^m would only inflate it: it puts each side over the lcm of its
-denominators and reduces each output once.  So a Fraction appears mid-loop
-only for the part of a denominator that ``_clear`` leaves alone (primes
-above 1000 after the first entry, or a cover past its bit cap), and in
-``series_mul`` on sides whose denominators are wider than
-``arith._CLEAR_MAX_BITS`` bits per Fraction entry.  ``ghost`` stops the
+divides S out with E^m.  ``witt_mul`` and ``frobenius`` hand the scaled
+ghosts of ``_ghosts`` (scale E_a E_b, or E^n) to ``_unghosts`` through
+``_rescale``, which moves them to the scale ``_clear`` would pick for the
+ghosts themselves, so no Fraction is built between the two loops.
+``series_div`` runs on the same homothety; ``series_mul`` does not, because
+a product has no powers of its entries, so E^m would only inflate it: it
+puts each side over the lcm of its denominators and reduces each output
+once.  So a Fraction appears mid-loop only for the part of a denominator
+that ``_clear`` leaves alone (primes above 1000 after the first entry, or a
+cover past its bit cap), and in ``series_mul`` on sides whose denominators
+are wider than ``arith._CLEAR_MAX_BITS`` bits per Fraction entry.  ``_ghosts`` stops the
 sum at the last nonzero coefficient, so a polynomial padded to truncation N
-costs O(N * degree).  ``ghost``, ``unghost``, ``series_mul``, ``series_div`` and
-``arith._power_series`` are the package's only Newton and series loops (the
+costs O(N * degree).  ``_ghosts``, ``_unghosts``, ``series_mul``, ``series_div``
+and ``arith._power_series`` are the package's only Newton and series loops (the
 matrix layers reach them through det(1 - t M)), beside the product and division
 loops of ``arith.Polynomial``.  Each series loop keeps its past outputs in a
 buffer newest first, so every inner sum is one ``sum(map(mul, coeffs, rev))``.
@@ -52,8 +55,8 @@ from itertools import accumulate
 from operator import mul
 from typing import Sequence, Union
 
-from .arith import (_CLEAR_MAX_BITS, Polynomial, _clear, _norm_coeff, _power_series, _unclear,
-                    poly_gcd)
+from .arith import (_CLEAR_MAX_BITS, Polynomial, _clear, _cover, _denominator, _norm_coeff,
+                    _power_series, _unclear, poly_gcd)
 from .errors import (NotDivisible, TruncationTooSmall, _integer, _json_list, _number, _numstr,
                      _size)
 from .record import Record
@@ -181,8 +184,8 @@ def series_mul(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]
 
 def series_div(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]:
     """Coefficients 1..n of (1 + sum a_m t^m) / (1 + sum b_m t^m)."""
-    # The second pass over a only scales: the E that covers b covers a too.
-    E, b = _clear(b, _clear(a)[0])
+    # b's cover starts at a's, so the second pass over a only scales.
+    E, b = _clear(b, _cover(map(_denominator, a)))
     E, a = _clear(a, E)
     # rev holds the outputs newest first, down to the constant term 1.
     rev: list[Scalar] = [1]
@@ -194,25 +197,21 @@ def series_div(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]
 
 # ------------------------------------------------------------- ghost bridge
 
-def ghost(w: WittVector) -> GhostVector:
-    """Ghost components via the Newton recursion; exact."""
-    c = w.coeffs
+def _ghosts(c: Sequence[Scalar], trunc: int) -> tuple[int, list[Scalar]]:
+    """(E, [N_m E^m]) for m = 1..trunc: the Newton recursion on c scaled by _clear."""
     deg = len(c)
     while deg and not c[deg - 1]:
         deg -= 1
     E, c = _clear(c[:deg])
     rev: list[Scalar] = []          # N_{m-1}, ..., N_1
-    for m in range(1, w.trunc + 1):
+    for m in range(1, trunc + 1):
         s = m * c[m - 1] if m <= deg else 0
         rev.insert(0, _norm_coeff(s - sum(map(mul, c, rev))))
-    return GhostVector(w.trunc, tuple(_unclear(rev[::-1], E)))
+    return E, rev[::-1]
 
 
-def unghost(g: GhostVector) -> WittVector:
-    """Series with the given ghost components (exp of the generating series)."""
-    if g.is_symbolic():
-        raise ValueError("cannot expand a symbolic ghost vector; take q -> value first")
-    E, v = _clear(g.values)
+def _unghosts(E: int, v: Sequence[Scalar]) -> Sequence[Scalar]:
+    """The coefficients c_m whose ghosts N_m are v_m / E^m."""
     # rev holds S c_{m-1}, ..., S c_1 (scaled by E^m); S grows by the least
     # factor that makes each inexact division by m exact.
     S = 1
@@ -229,7 +228,33 @@ def unghost(g: GhostVector) -> WittVector:
             rev.insert(0, s // m)
         else:
             rev.insert(0, _norm_coeff(Fraction(s, m)))
-    return WittVector(g.trunc, tuple(_unclear(rev[::-1], E, S)))
+    return _unclear(rev[::-1], E, S)
+
+
+def _rescale(F: int, xs: Sequence[Scalar]) -> tuple[int, Sequence[Scalar]]:
+    """_clear(_unclear(xs, F)) without the reduced values: one gcd per entry
+    gives den(x_m / F^m), which divides F^m, so their cover E divides F."""
+    if any(type(x) is Fraction for x in xs):
+        return _clear(_unclear(xs, F))
+    dens, Fm = [], 1
+    for x in xs:
+        Fm *= F
+        dens.append(Fm // math.gcd(x, Fm))
+    E = _cover(dens)
+    return E, _unclear(xs, F // E)
+
+
+def ghost(w: WittVector) -> GhostVector:
+    """Ghost components via the Newton recursion; exact."""
+    E, v = _ghosts(w.coeffs, w.trunc)
+    return GhostVector(w.trunc, tuple(_unclear(v, E)))
+
+
+def unghost(g: GhostVector) -> WittVector:
+    """Series with the given ghost components (exp of the generating series)."""
+    if g.is_symbolic():
+        raise ValueError("cannot expand a symbolic ghost vector; take q -> value first")
+    return WittVector(g.trunc, tuple(_unghosts(*_clear(g.values))))
 
 
 # ------------------------------------------------------------ ring structure
@@ -252,7 +277,8 @@ def witt_sub(a: WittVector, b: WittVector) -> WittVector:
 def witt_mul(a: WittVector, b: WittVector) -> WittVector:
     """Witt product: pointwise on ghosts, then back."""
     _match(a, b)
-    return unghost(ghost(a) * ghost(b))
+    (Ea, ga), (Eb, gb) = _ghosts(a.coeffs, a.trunc), _ghosts(b.coeffs, b.trunc)
+    return WittVector(a.trunc, tuple(_unghosts(*_rescale(Ea * Eb, list(map(mul, ga, gb))))))
 
 
 def witt_scale(n: int, a: WittVector) -> WittVector:
@@ -271,8 +297,8 @@ def frobenius(n: int, w: WittVector) -> WittVector:
     m = w.trunc // _size("index", n)
     if m == 0:
         raise TruncationTooSmall(f"truncation {w.trunc} too small for Frobenius F_{n}")
-    g = ghost(w)
-    return unghost(GhostVector.of([g.values[n * k - 1] for k in range(1, m + 1)]))
+    E, g = _ghosts(w.coeffs[:m * n], m * n)
+    return WittVector(m, tuple(_unghosts(*_rescale(E**n, g[n - 1::n]))))
 
 
 def verschiebung(n: int, w: WittVector) -> WittVector:

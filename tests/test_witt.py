@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bcwitt.arith import _CLEAR_MAX_BITS, Polynomial, _clear, _unclear
+from bcwitt.arith import _CLEAR_MAX_BITS, Polynomial, _clear, _cover, _unclear
 from bcwitt.errors import NotDivisible, TruncationTooSmall
 from bcwitt.witt import (
     GhostVector,
@@ -522,6 +522,7 @@ def _least_cover_oracle(xs):
 def _check_clear(xs, start=1):
     E, scaled = _clear(xs, start)
     assert E % start == 0
+    assert _cover([Fraction(x).denominator for x in xs], start) == E
     cover = math.lcm(start, _least_cover_oracle(xs))
     assert E == (cover if cover.bit_length() <= _CLEAR_MAX_BITS else start)
     primorial = math.prod(_PRIMES_BELOW_1000)

@@ -13,9 +13,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from bcwitt.arith import Polynomial, _clear, _unclear  # noqa: E402
 from bcwitt.witt import (  # noqa: E402
     GhostVector,
     WittVector,
+    _rescale,
     frobenius,
     ghost,
     unghost,
@@ -36,6 +38,23 @@ def vectors(n):
 
 
 pairs = st.integers(1, 12).flatmap(lambda n: st.tuples(vectors(n), vectors(n)))
+
+
+def int_vectors(n):
+    return st.lists(st.integers(-9, 9), min_size=n, max_size=n).map(WittVector.from_coeffs)
+
+
+# Vectors and pairs of either kind: rational with coeffs, or all-integer.
+any_vectors = st.integers(1, 12).flatmap(lambda n: vectors(n) | int_vectors(n))
+any_pairs = pairs | st.integers(1, 12).flatmap(lambda n: st.tuples(int_vectors(n), int_vectors(n)))
+
+
+def _typed(xs):
+    return [(type(x), x) for x in xs]
+
+
+def _norm(x):
+    return int(x) if x.denominator == 1 else x
 
 
 @LAWS
@@ -107,3 +126,70 @@ def test_witt_add_commutes(ab):
     s, t = witt_add(a, b), witt_add(b, a)
     assert [(type(c), c) for c in s.coeffs] == [(type(c), c) for c in t.coeffs]
     assert ghost(s) == ghost(a) + ghost(b)
+
+
+@LAWS
+@given(any_pairs)
+@example((WittVector.from_coeffs([Fraction(1, 2**61 - 1), Fraction(1, 1009)]),
+          WittVector.from_coeffs([Fraction(3, 4), Fraction(-1, 9)])))
+def test_witt_mul_is_the_ghost_product(ab):
+    """The scaled ghosts of both sides meet without a Fraction round trip,
+    and give what unghosting the product of the ghost vectors gives."""
+    a, b = ab
+    assert _typed(witt_mul(a, b).coeffs) == _typed(unghost(ghost(a) * ghost(b)).coeffs)
+
+
+@LAWS
+@given(any_vectors, st.integers(1, 5))
+def test_frobenius_takes_every_nth_ghost(w, n):
+    assume(w.trunc >= n)
+    want = unghost(GhostVector.of(ghost(w).values[n - 1::n][:w.trunc // n]))
+    assert _typed(frobenius(n, w).coeffs) == _typed(want.coeffs)
+
+
+# Denominators that F = 6 or 2^70 * 3 covers from some index on, so that the
+# scaled values are often all integers and _rescale's gcd path runs; a first
+# denominator 2^70 puts the cover past _CLEAR_MAX_BITS.
+covered = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 4, 8, 3, 27, 2**70)))
+
+
+@LAWS
+@given(st.lists(coeffs | covered, min_size=1, max_size=12),
+       st.sampled_from((1, 2, 6, 6, 1009 * 6, (2**61 - 1) * 6, 2**70 * 3, 2**70 * 3)))
+@example([Fraction(1, 2), Fraction(1, 4), Fraction(-5, 8), 7], 6)
+@example([Fraction(1, 3), Fraction(1, 2), Fraction(1, 27)], 2**70 * 3)
+@example([Fraction(1, 2**70), Fraction(1, 3)], 2**70 * 3)
+@example([Fraction(1, 1009 * 2), Fraction(1, 4)], 1009 * 6)
+def test_rescale_is_clear_of_the_unscaled_values(values, F):
+    """From values scaled by F^m, _rescale picks the E and the scaled values
+    that _clear picks for the values themselves, past the 64-bit cap too."""
+    Fm = 1
+    xs = []
+    for x in values:
+        Fm *= F
+        xs.append(_norm(x * Fm))
+    want_E, want = _clear(_unclear(xs, F))
+    got_E, got = _rescale(F, xs)
+    assert got_E == want_E and _typed(got) == _typed(want)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(coeffs | st.integers(-9, 9), max_size=6), st.integers(1, 5))
+@example([], 1)
+@example([], 3)
+@example([0, 0], 2)
+@example([Fraction(1, 2), 0, 3], 1)
+def test_substitute_power_is_the_padded_polynomial(cs, n):
+    p = Polynomial(cs)
+    padded = [0] * (len(p.coeffs) * n)
+    padded[::n] = p.coeffs
+    got, want = p.substitute_power(n), Polynomial(padded)
+    assert _typed(got.coeffs) == _typed(want.coeffs)
+    assert type(got.coeffs) is tuple
+
+
+@pytest.mark.parametrize("cs", [[], [1, 2]])
+@pytest.mark.parametrize("n", [0, -2])
+def test_substitute_power_checks_the_index_first(cs, n):
+    with pytest.raises(ValueError, match="index"):
+        Polynomial(cs).substitute_power(n)
