@@ -1,13 +1,15 @@
 """Small exact matrix helpers over Z and Q.
 
 Matrices are tuples of row tuples with int/Fraction entries.  The one
-spectral kernel is ``char_series``, det(1 - t M), computed modulo one prime
-from a table sized to CPython's 30-bit int digits and lifted back exactly
-(its Hessenberg reduction takes the indices in chain order, which leaves a
-permuted companion nothing to eliminate and det(1 - t M) unchanged);
-the rest are the products, powers and block constructions the other modules
-and tests build matrices with.  ``det`` is plain Gaussian elimination over
-Fraction; only the tests call it.
+spectral kernel is ``char_series``, det(1 - t M) from a Hessenberg form,
+with the indices in chain order, which leaves det(1 - t M) unchanged.  A
+permuted companion or block companion is then upper Hessenberg already, and
+its recurrence runs over Z: it only multiplies and adds, so it is exact.
+Any other matrix is reduced modulo one prime from a table sized to
+CPython's 30-bit int digits and lifted back exactly.  The rest are the
+products, powers and block constructions the other modules and tests build
+matrices with.  ``det`` is plain Gaussian elimination over Fraction; only
+the tests call it.
 """
 
 from __future__ import annotations
@@ -143,6 +145,12 @@ def _prime_above(square: int) -> int:
     raise ValueError("characteristic series bound exceeds the largest tabled prime")
 
 
+def _square_bound(n: int, r2: int) -> int:
+    """4 max_k C(n, k)^2 r2^k: the terms rise while r2 (n - k)^2 > (k + 1)^2, then fall."""
+    k = next(k for k in range(n + 1) if r2 * (n - k) ** 2 <= (k + 1) ** 2)
+    return 4 * math.comb(n, k) ** 2 * r2**k
+
+
 def _chain_order(a: Sequence[Sequence[int]]) -> list[int] | None:
     """An order of a's indices that runs each chain of sparse columns down
     the subdiagonal, or None if a has no such column.  A column whose one
@@ -164,64 +172,69 @@ def _chain_order(a: Sequence[Sequence[int]]) -> list[int] | None:
 
 
 def char_series(m: Matrix) -> Polynomial:
-    """det(1 - t M) as a polynomial, by Hessenberg reduction mod one prime.
+    """det(1 - t M) as a polynomial, from an upper Hessenberg form H.
 
     With D the lcm of the entry denominators, A = D M is an integer matrix
-    and c_k(M) = c_k(A) / D^k.  Up to sign, c_k(A) is the sum of the
-    C(n, k) principal k x k minors of the n x n matrix A, each at most R^k
-    by Hadamard's inequality (R the largest Euclidean row norm of A).  So
-    the smallest prime p of ``_PRIMES`` (past 2^540, Mersenne prime) with
-    p > 2 max_k C(n, k) R^k (compared in squares, in ints) determines every
-    c_k(A) from its residue by the symmetric lift; a bound past the table
-    raises ValueError.  CPython stores ints in 30-bit digits, so the table
-    has a prime just below each 2^(30 j) (and 2^15, whose products fit one
-    digit): residues take no digit more than the bound needs.  Any prime
-    above the bound gives the same result, so correctness does not rest on
-    ``sys.int_info.bits_per_digit``.  A is reduced to upper Hessenberg form
-    H by similarity mod p (Cohen, Alg. 2.2.9), and det(1 - t H) follows
-    from the recurrence along its subdiagonal.  The reduction takes A's
-    indices in ``_chain_order``, a permutation similarity that keeps
-    det(1 - t A), the row norms and so p: a permuted companion or block
-    companion then starts upper Hessenberg, where index order fills in.
+    and c_k(M) = c_k(A) / D^k.  A's indices are first taken in
+    ``_chain_order``, a permutation similarity that keeps det(1 - t A) and
+    the row norms: a permuted companion or block companion is then upper
+    Hessenberg already, where index order fills in.  det(1 - t H) follows
+    from the recurrence along H's subdiagonal (Cohen, Alg. 2.2.9), through
+    q_j = det(1 - t H_j) of the leading blocks.  It never divides, so on
+    such an A it runs over Z with no prime, each q_j within the bound below.
+    Any other A is reduced to H by similarity mod one prime p.  Up to sign,
+    c_k(A) is the sum of the C(n, k) principal k x k minors of the n x n
+    matrix A, each at most R^k by Hadamard's inequality (R the largest
+    Euclidean row norm of A).  So the smallest prime p of ``_PRIMES``
+    (past 2^540, Mersenne prime) with p > 2 max_k C(n, k) R^k (compared in
+    squares, in ints) determines every c_k(A) from its residue by the
+    symmetric lift; on this path a bound past the table raises ValueError.
+    CPython stores ints in 30-bit digits, so the table has a prime just
+    below each 2^(30 j) (and 2^15, whose products fit one digit): residues
+    take no digit more than the bound needs.  Any prime above the bound
+    gives the same result, so correctness does not rest on
+    ``sys.int_info.bits_per_digit``.
     """
     n = len(m)
     integral = set(map(type, chain.from_iterable(m))) <= {int}
     den = 1 if integral else math.lcm(*(x.denominator for row in m for x in row))
     a = m if integral else [[int(x * den) for x in row] for row in m]
-    r2 = max((sum(map(mul, row, row)) for row in a), default=0)
-    p = _prime_above(max(4 * math.comb(n, k) ** 2 * r2**k for k in range(n + 1)))
     order = _chain_order(a)
     if order:
         get = itemgetter(*order)
-        a = map(get, get(a))
-    h = [list(map(p.__rmod__, row)) for row in a]
-    for k in range(1, n - 1):
-        # Clear column k - 1 below the subdiagonal with pivot row k.
-        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
-        if piv is None:
-            continue
-        if piv != k:
-            h[k], h[piv] = h[piv], h[k]
-            for row in h:
-                row[k], row[piv] = row[piv], row[k]
-        tail = h[k][k:]
-        inv = pow(h[k][k - 1], -1, p)
-        # The eliminations commute: all row operations use the same pivot
-        # row, and their inverses add sum_i u_i col_i to column k together
-        # (col_k itself leads, with weight 1, so get(row) is a tuple).
-        rows, us = [k], [1]
-        for i in range(k + 1, n):
-            row = h[i]
-            if row[k - 1]:
-                u = row[k - 1] * inv % p
-                row[k - 1:] = [0] + [(x - u * y) % p for x, y in zip(row[k:], tail)]
-                rows.append(i)
-                us.append(u)
-        if len(us) > 1:
-            get = itemgetter(*rows)
-            for row in h:
-                row[k] = sum(map(mul, us, get(row))) % p
-    # q_j = det(1 - t H_j) for the leading j x j blocks:
+        a = list(map(get, get(a)))
+    if not any(chain.from_iterable(row[:i] for i, row in enumerate(a[2:], 1))):
+        h, p = a, 0  # nothing below the subdiagonal: the recurrence runs over Z
+    else:
+        p = _prime_above(_square_bound(n, max(sum(map(mul, row, row)) for row in a)))
+        h = [list(map(p.__rmod__, row)) for row in a]
+        for k in range(1, n - 1):
+            # Clear column k - 1 below the subdiagonal with pivot row k.
+            piv = next((i for i in range(k, n) if h[i][k - 1]), None)
+            if piv is None:
+                continue
+            if piv != k:
+                h[k], h[piv] = h[piv], h[k]
+                for row in h:
+                    row[k], row[piv] = row[piv], row[k]
+            tail = h[k][k:]
+            inv = pow(h[k][k - 1], -1, p)
+            # The eliminations commute: all row operations use the same pivot
+            # row, and their inverses add sum_i u_i col_i to column k together
+            # (col_k itself leads, with weight 1, so get(row) is a tuple).
+            rows, us = [k], [1]
+            for i in range(k + 1, n):
+                row = h[i]
+                if row[k - 1]:
+                    u = row[k - 1] * inv % p
+                    row[k - 1:] = [0] + [(x - u * y) % p for x, y in zip(row[k:], tail)]
+                    rows.append(i)
+                    us.append(u)
+            if len(us) > 1:
+                get = itemgetter(*rows)
+                for row in h:
+                    row[k] = sum(map(mul, us, get(row))) % p
+    # q_j = det(1 - t H_j) for the leading j x j blocks (mod p unless p = 0):
     # q_{j+1} = (1 - h_jj t) q_j - sum_i h_ij (h_{i+1,i} ... h_{j,j-1}) t^(j-i+1) q_i.
     qs = [[1]]
     for j in range(n):
@@ -229,16 +242,16 @@ def char_series(m: Matrix) -> Polynomial:
         new = [x - hjj * y for x, y in zip(prev + [0], [0] + prev)]
         subdiag = 1
         for i in range(j - 1, -1, -1):
-            subdiag = subdiag * h[i + 1][i] % p
+            subdiag = subdiag * h[i + 1][i] % p if p else subdiag * h[i + 1][i]
             if not subdiag:
                 break
-            c = h[i][j] * subdiag % p
+            c = h[i][j] * subdiag % p if p else h[i][j] * subdiag
             if c:
                 shift = j - i + 1
                 new[shift:] = [y - c * x for y, x in zip(new[shift:], qs[i])]
-        qs.append([x % p for x in new])
+        qs.append([x % p for x in new] if p else new)
     half = p >> 1
-    lifted = [c - p if c > half else c for c in qs[n]]
+    lifted = [c - p if c > half else c for c in qs[n]] if p else qs[n]
     return Polynomial(lifted[:1] + _unclear(lifted[1:], den))
 
 

@@ -386,12 +386,21 @@ def test_char_series_matches_sympy():
         assert linalg.char_series(m) == expected
 
 
-def test_char_series_picks_large_primes():
+def _prime_spy(monkeypatch):
+    """The squares that ``linalg._prime_above`` is asked for, in order."""
+    squares, real = [], linalg._prime_above
+    monkeypatch.setattr(linalg, "_prime_above", lambda square: squares.append(square) or real(square))
+    return squares
+
+
+def test_char_series_picks_large_primes(monkeypatch):
     # Entries up to 10^6 at d = 32 need a prime past the table (2^540).
     rng = random.Random(604)
     m = linalg.as_matrix([[rng.randint(-10**6, 10**6) for _ in range(32)] for _ in range(32)])
     assert linalg._prime_above(_bound_square(m)) > linalg._PRIMES[-1] > 2**127 - 1
+    squares = _prime_spy(monkeypatch)
     assert _same(linalg.char_series(m), power_trace_char_series(m))
+    assert squares == [_bound_square(m)]
 
 
 def test_char_series_edge_cases():
@@ -440,6 +449,14 @@ def _monic_companion_blocks(rng, d):
     return rows
 
 
+def _hessenberg_in_chain_order(m):
+    """Whether m has no nonzero below its subdiagonal in ``_chain_order``."""
+    d = len(m)
+    order = linalg._chain_order(m) or range(d)
+    assert sorted(order) == list(range(d))
+    return all(not m[order[i]][order[j]] for j in range(d) for i in range(j + 2, d))
+
+
 def test_chain_order_makes_permuted_companions_hessenberg():
     """Permuted companions and block companions, of cyclotomic products and
     of random monic polynomials, are upper Hessenberg in the chain order."""
@@ -450,10 +467,62 @@ def test_chain_order_makes_permuted_companions_hessenberg():
             rows = _permuted(_monic_companion_blocks(rng, d), rng)
         else:
             rows = _quasi_unipotent(rng, d)[0].matrix
-        order = linalg._chain_order(rows) or range(d)
-        assert sorted(order) == list(range(d))
-        h = [[rows[i][j] for j in order] for i in order]
-        assert all(not h[i][j] for j in range(d) for i in range(j + 2, d))
+        assert _hessenberg_in_chain_order(rows)
+
+
+def _exact_path_matrices(seed, count):
+    """In turn: permuted companions and block companions, whose subdiagonal
+    is zero between blocks; upper Hessenberg matrices with entries in
+    [-10^6, 10^6], and with rational entries, some subdiagonal entries
+    zero and stray entries above them; and matrices of dimension 0-2.  In
+    a column with no nonzero below the diagonal, a lone nonzero above it
+    is cleared: such a column leads up in the chain order, which can then
+    leave the index order."""
+    rng = random.Random(seed)
+    entries = (lambda: rng.randint(-10**6, 10**6),
+               lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+    for trial in range(count):
+        d, kind = rng.randint(3, 12), trial % 4
+        if kind == 0:
+            rows = (_permuted(_monic_companion_blocks(rng, d), rng) if trial % 8
+                    else _quasi_unipotent(rng, d)[0].matrix)
+        elif kind < 3:
+            entry = entries[kind - 1]
+            rows = [[entry() if i <= j + 1 and rng.random() < 0.7 else 0 for j in range(d)]
+                    for i in range(d)]
+            for j, col in enumerate(zip(*rows)):
+                above = [i for i in range(j) if col[i]]
+                if len(above) == 1 and not any(col[j + 1:]):
+                    rows[above[0]][j] = 0
+        else:
+            d = trial // 4 % 3
+            rows = [[rng.randint(-10**6, 10**6) for _ in range(d)] for _ in range(d)]
+        yield linalg.as_matrix(rows)
+
+
+def test_char_series_over_z_takes_no_prime(monkeypatch):
+    """A matrix upper Hessenberg in the chain order runs the recurrence over
+    Z, with no prime, and matches the power traces in value and coefficient
+    type; a dense matrix takes one prime, the one its bound picks."""
+    squares = _prime_spy(monkeypatch)
+    for m in _exact_path_matrices(612, 120):
+        assert _hessenberg_in_chain_order(m)
+        assert _same(linalg.char_series(m), power_trace_char_series(m))
+    assert squares == []
+    rng = random.Random(613)
+    dense = linalg.as_matrix([[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(8)]
+                              for _ in range(8)])
+    assert _same(linalg.char_series(dense), power_trace_char_series(dense))
+    assert squares == [_bound_square(dense)]
+
+
+def test_char_series_over_z_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _exact_path_matrices(614, 60):
+        if len(m) <= 8:
+            expected = sympy.Matrix(len(m), len(m), [x for row in m for x in row]).charpoly()
+            expected = [Fraction(int(c.p), int(c.q)) for c in expected.all_coeffs()]
+            assert _same(linalg.char_series(m), Polynomial(expected))
 
 
 def _permutation_test_matrices(seed, count):
@@ -564,14 +633,30 @@ def test_prime_choice():
 
 def _bound_square(m):
     """char_series's squared bound 4 max_k C(n, k)^2 R^(2k) for an integer matrix."""
-    n, r2 = len(m), max(sum(x * x for x in row) for row in m)
+    n, r2 = len(m), max((sum(x * x for x in row) for row in m), default=0)
     return max(4 * math.comb(n, k) ** 2 * r2**k for k in range(n + 1))
+
+
+def test_square_bound_is_the_peak_term():
+    """``_square_bound`` evaluates one term, where the rising terms turn; it
+    equals the full maximum on dimensions 0-64 and on squared row norms
+    that are zero, small (where two terms can tie) or sums of four squares."""
+    rng = random.Random(615)
+    for trial in range(400):
+        n = trial % 65
+        rows = [[0] * n for _ in range(n)]
+        if n and trial % 5:
+            top = rng.choice((1, 3, 10**3, 10**6)) if trial % 5 > 1 else 1
+            rows[rng.randrange(n)][:4] = [rng.randint(-top, top) for _ in range(min(n, 4))]
+        r2 = max((sum(x * x for x in row) for row in rows), default=0)
+        assert linalg._square_bound(n, r2) == _bound_square(rows)
 
 
 def _straddling(rng, d, p):
     """Two d x d integer matrices, equal but for entry (0, 0), whose bounds
-    straddle p^2: the first picks the prime p, the second the next one."""
-    rest = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+    straddle p^2: the first picks the prime p, the second the next one.
+    Their other entries are nonzero."""
+    rest = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(d)] for _ in range(d)]
 
     def with_corner(x):
         rows = [row[:] for row in rest]
@@ -588,22 +673,30 @@ def _straddling(rng, d, p):
     return with_corner(lo), with_corner(hi)
 
 
-def test_char_series_at_prime_boundaries():
+def test_char_series_at_prime_boundaries(monkeypatch):
     """Bounds just below and just above the tabled primes near 2^15, 2^30,
-    2^60 and 2^90, on integer matrices and on the same matrices over 7."""
+    2^60 and 2^90, on integer matrices and on the same matrices over 7.
+    From d = 3 on, no column has a single off-diagonal nonzero, so the
+    chain order is the index order, entry (d - 1, 0) is below the
+    subdiagonal and the lift runs mod the prime the bound picks; every
+    2 x 2 matrix is upper Hessenberg and runs over Z."""
     rng = random.Random(607)
     primes = linalg._PRIMES
+    squares = _prime_spy(monkeypatch)
     for b in (15, 30, 60, 90):
         i = next(i for i, p in enumerate(primes) if p.bit_length() == b)
-        for d in (2, 3, 5):
+        for d in (2, 3, 4, 5):
             below, above = _straddling(rng, d, primes[i])
             assert linalg._prime_above(_bound_square(below)) == primes[i]
             assert linalg._prime_above(_bound_square(above)) == primes[i + 1]
             for m in (below, above):
-                assert _same(linalg.char_series(m), power_trace_char_series(m))
+                cases = [m]
                 if math.lcm(*(Fraction(x, 7).denominator for row in m for x in row)) == 7:
-                    sevenths = linalg.as_matrix([[Fraction(x, 7) for x in row] for row in m])
-                    assert _same(linalg.char_series(sevenths), power_trace_char_series(sevenths))
+                    cases.append(linalg.as_matrix([[Fraction(x, 7) for x in row] for row in m]))
+                for case in cases:
+                    squares.clear()
+                    assert _same(linalg.char_series(case), power_trace_char_series(case))
+                    assert squares == ([] if d == 2 else [_bound_square(m)])
 
 
 def _dense_mul(a, b):
