@@ -20,8 +20,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "arith": ("Polynomial", "cyclotomic", "cyclotomic_factor", "moebius", "stirling2",
-              "totient"),
+    "arith": ("Polynomial", "cyclotomic", "cyclotomic_factor", "moebius", "totient"),
     "errors": ("DegenerateIterate", "DomainError", "HalfTwistPresent", "LimitExceeded",
                "NotDivisible", "NotEffectivelyTorified", "NotQuasiUnipotent", "NotSplit",
                "OutOfMemory", "TruncationTooSmall"),

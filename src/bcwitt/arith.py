@@ -12,8 +12,9 @@ Conventions used throughout the package:
 * The zero polynomial has an empty coefficient tuple and degree -1.
 
 ``_divisor_table`` alone decides phi, mu and Phi_r(1).  Cyclotomic factoring
-is by repeated trial division, smallest index first, exact and fast at the
-degrees this package meets; its trial list sieves phi in one pass.
+is by repeated trial division, smallest index first, on coefficient lists in
+``_divide``, the one long-division loop (``Polynomial``'s divmod wraps it);
+its trial list sieves phi in one pass.
 ``_power_series`` is the one power kernel: polynomial powers, ``witt_scale``
 and the T/L basis substitutions of ``torified`` all run through it.
 """
@@ -149,6 +150,23 @@ def _power_series(p: Sequence[Coeff], k: int, n: int) -> list[Coeff]:
     return rev[::-1]
 
 
+def _divide(rem: list[Coeff], div: Sequence[Coeff]) -> list[Coeff]:
+    """Long division by div (last entry nonzero) on ascending coefficient lists:
+    the quotient, with the remainder left in rem[:len(div) - 1]."""
+    d = len(div) - 1
+    lead = div[-1]
+    terms = [(j, b) for j, b in enumerate(div[:d]) if b]  # cyclotomics are sparse
+    q = [0] * max(len(rem) - d, 0)
+    for k in range(len(q) - 1, -1, -1):
+        # A monic divisor keeps the quotient in the dividend's ring.
+        c = rem[k + d] if lead == 1 else _norm_coeff(Fraction(rem[k + d]) / lead)
+        if c:
+            q[k] = c
+            for j, b in terms:
+                rem[k + j] -= c * b
+    return q
+
+
 class Polynomial:
     """Dense univariate polynomial over Z or Q, ascending coefficients."""
 
@@ -228,18 +246,7 @@ class Polynomial:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.coeffs[-1]
-        for k in range(len(rem) - 1, d - 1, -1):
-            # A monic divisor keeps the quotient in the dividend's ring.
-            c = rem[k] if lead == 1 else _norm_coeff(Fraction(rem[k]) / lead)
-            if c == 0:
-                continue
-            q[k - d] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k - d + j] -= c * b
-        return Polynomial(q), Polynomial(rem)
+        return Polynomial(_divide(rem, other.coeffs)), Polynomial(rem[:other.degree])
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -278,7 +285,8 @@ class Polynomial:
         d = self.degree if degree is None else degree
         if d < self.degree:
             raise ValueError("reversal degree below actual degree")
-        return Polynomial([self[d - k] for k in range(d + 1)])
+        cs = (0,) * (d - self.degree) + self.coeffs[::-1]
+        return Polynomial._normal(cs) if self[0] else Polynomial(cs)  # Polynomial trims zeros
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -385,23 +393,6 @@ def totient(n: int) -> int:
     return _divisor_table(n)[n][0]
 
 
-def stirling2(k: int, r: int) -> int:
-    """Stirling number of the second kind S(k, r).
-
-    Computed from the alternating binomial sum
-    r! * S(k,r) = sum_{j=0..r} (-1)^(r-j) C(r,j) j^k, with 0^0 = 1.
-    """
-    if _size("exponent", r) > _size("exponent", k):
-        return 0
-    total = 0
-    for j in range(r + 1):
-        total += (-1) ** (r - j) * math.comb(r, j) * j**k
-    q, rem = divmod(total, math.factorial(r))
-    if rem:
-        raise ArithmeticError(f"binomial sum for S({k}, {r}) is not divisible by {r}!")
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(m: int) -> Polynomial:
     """The m-th cyclotomic polynomial, monic with integer coefficients.
@@ -430,22 +421,27 @@ def cyclotomic(m: int) -> Polynomial:
 @lru_cache(maxsize=None)
 def _factor_trials(deg: int) -> tuple[tuple[int, int, int], ...]:
     """The triples (d, phi(d), Phi_d(2)) with phi(d) <= deg, ascending in d."""
-    # totient(d) >= sqrt(d/2), so indices beyond 2*deg^2 + 1 cannot qualify.
-    top = 2 * deg * deg + 1
+    # phi(d) >= sqrt(d) for d > 6, so indices beyond max(6, deg^2) cannot qualify.
+    top = max(6, deg * deg)
     phi = list(range(top + 1))
     for p in range(2, top + 1):
         if phi[p] == p:  # untouched by a smaller prime, so p is prime
             for k in range(p, top + 1, p):
                 phi[k] -= phi[k] // p
-    return tuple((d, phi[d], cyclotomic(d)(2)) for d in range(1, top + 1) if phi[d] <= deg)
+
+    def at_two(d: int) -> int:  # Phi_d(2) = prod_{e | d} (2^e - 1)^mu(d/e), built from no Phi_d
+        t = _divisor_table(d)
+        num, den = (math.prod((1 << e) - 1 for e in t if t[d // e][1] == mu) for mu in (1, -1))
+        return num // den
+    return tuple((d, phi[d], at_two(d)) for d in range(1, top + 1) if phi[d] <= deg)
 
 
 def cyclotomic_factor(p: Polynomial) -> list[int]:
     """Factor +-p into cyclotomics, returning the sorted index multiset.
 
     Tries each Phi_d with deg Phi_d <= remaining degree, smallest d first,
-    dividing out repeatedly.  Raises NotQuasiUnipotent when a nontrivial
-    factor survives, i.e. some root of p is not a root of unity.
+    dividing out repeatedly on coefficient lists.  Raises NotQuasiUnipotent
+    when a nontrivial factor survives, i.e. some root of p is not a root of unity.
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -457,17 +453,17 @@ def cyclotomic_factor(p: Polynomial) -> list[int]:
     # Phi_d | p in Z[t] forces Phi_d(2) | p(2), so a Phi_d failing that test
     # needs no trial division; p2 = 0 (p(2) = 0, or p not integral) passes all.
     p2 = p(2) if p.is_integral() else 0
-    for d, phi, phi2 in _factor_trials(p.degree):
-        if p.degree == 0:
+    cs, deg = list(p.coeffs), p.degree  # the monic cofactor left, and its degree
+    for d, phi, phi2 in _factor_trials(deg):
+        if deg == 0:
             break
-        if phi > p.degree:
-            continue
-        while p2 % phi2 == 0:
-            q, r = divmod(p, cyclotomic(d))
-            if not r.is_zero():
+        while phi <= deg and p2 % phi2 == 0:
+            rem = cs.copy()
+            q = _divide(rem, cyclotomic(d).coeffs)
+            if any(rem[:phi]):
                 break
             out.append(d)
-            p, p2 = q, p2 // phi2
-    if p.degree > 0 or p.coeffs[0] != 1:
-        raise NotQuasiUnipotent(f"non-cyclotomic factor of degree {p.degree} remains")
+            cs, deg, p2 = q, deg - phi, p2 // phi2
+    if deg:
+        raise NotQuasiUnipotent(f"non-cyclotomic factor of degree {deg} remains")
     return out

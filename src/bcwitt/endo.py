@@ -99,14 +99,10 @@ def endo_verschiebung(n: int, e: EndoObject) -> EndoObject:
     if _size("index", n) == 1:
         return e
     d = e.dim
-    _size("matrix dimension", n * d)
-
-    def entry(i: int, j: int):
-        bi, bj = i // d, j // d
-        if bi == 0 and bj == n - 1:
-            return e.matrix[i % d][j % d]
-        return 1 if bi == bj + 1 and i % d == j % d else 0
-    return EndoObject(tuple(tuple(entry(i, j) for j in range(n * d)) for i in range(n * d)))
+    nd = _size("matrix dimension", n * d)
+    # Block row 0 ends in e's matrix; row d + i has its 1 in column i.
+    return EndoObject(tuple((0,) * (nd - d) + tuple(row) for row in e.matrix)
+                      + tuple((0,) * i + (1,) + (0,) * (nd - 1 - i) for i in range(nd - d)))
 
 
 def delta(g: GradedEndoObject) -> RationalWitt:

@@ -178,11 +178,13 @@ def char_series(m: Matrix) -> Polynomial:
     and c_k(M) = c_k(A) / D^k.  A's indices are first taken in
     ``_chain_order``, a permutation similarity that keeps det(1 - t A) and
     the row norms: a permuted companion or block companion is then upper
-    Hessenberg already, where index order fills in.  det(1 - t H) follows
-    from the recurrence along H's subdiagonal (Cohen, Alg. 2.2.9), through
-    q_j = det(1 - t H_j) of the leading blocks.  It never divides, so on
-    such an A it runs over Z with no prime, each q_j within the bound below.
-    Any other A is reduced to H by similarity mod one prime p.  Up to sign,
+    Hessenberg already, where index order fills in (where the chain order
+    leaves an entry below the subdiagonal, the index order is tried next).
+    det(1 - t H) follows from the recurrence along H's subdiagonal (Cohen,
+    Alg. 2.2.9), through q_j = det(1 - t H_j) of the leading blocks; a column
+    j with nothing on or above the diagonal carries q_j over.  It never
+    divides, so on such an A it runs over Z with no prime, each q_j within
+    the bound below.  Any other A is reduced to H mod one prime p.  Up to sign,
     c_k(A) is the sum of the C(n, k) principal k x k minors of the n x n
     matrix A, each at most R^k by Hadamard's inequality (R the largest
     Euclidean row norm of A).  So the smallest prime p of ``_PRIMES``
@@ -199,15 +201,18 @@ def char_series(m: Matrix) -> Polynomial:
     integral = set(map(type, chain.from_iterable(m))) <= {int}
     den = 1 if integral else math.lcm(*(x.denominator for row in m for x in row))
     a = m if integral else [[int(x * den) for x in row] for row in m]
+    forms = [a]  # the index order, tried after the chain order
     order = _chain_order(a)
     if order:
         get = itemgetter(*order)
-        a = list(map(get, get(a)))
-    if not any(chain.from_iterable(row[:i] for i, row in enumerate(a[2:], 1))):
-        h, p = a, 0  # nothing below the subdiagonal: the recurrence runs over Z
-    else:
-        p = _prime_above(_square_bound(n, max(sum(map(mul, row, row)) for row in a)))
-        h = [list(map(p.__rmod__, row)) for row in a]
+        forms.insert(0, list(map(get, get(a))))
+    # The first with nothing below the subdiagonal (a dense form stops at row 2).
+    h = next((f for f in forms if not any(chain.from_iterable(
+        row[:i] for i, row in enumerate(f[2:], 1)))), None)
+    p = 0  # the recurrence runs over Z, unless no form is upper Hessenberg
+    if h is None:
+        p = _prime_above(_square_bound(n, max(sum(map(mul, row, row)) for row in forms[0])))
+        h = [list(map(p.__rmod__, row)) for row in forms[0]]
         for k in range(1, n - 1):
             # Clear column k - 1 below the subdiagonal with pivot row k.
             piv = next((i for i in range(k, n) if h[i][k - 1]), None)
@@ -239,6 +244,9 @@ def char_series(m: Matrix) -> Polynomial:
     qs = [[1]]
     for j in range(n):
         prev, hjj = qs[j], h[j][j]
+        if not (hjj or any(map(itemgetter(j), h[:j]))):  # nothing on or above the diagonal
+            qs.append(prev + [0])
+            continue
         new = [x - hjj * y for x, y in zip(prev + [0], [0] + prev)]
         subdiag = 1
         for i in range(j - 1, -1, -1):

@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -15,26 +14,9 @@ from bcwitt.arith import (
     factorize,
     moebius,
     poly_gcd,
-    stirling2,
     totient,
 )
 from bcwitt.errors import LimitExceeded, NotQuasiUnipotent
-
-
-def count_partitions(k, r):
-    """Brute-force count of set partitions of {0..k-1} into exactly r blocks."""
-    def rec(elems):
-        if not elems:
-            yield []
-            return
-        first, rest = elems[0], elems[1:]
-        for size in range(len(rest) + 1):
-            for others in combinations(rest, size):
-                block = (first,) + others
-                remaining = [e for e in rest if e not in others]
-                for tail in rec(remaining):
-                    yield [block] + tail
-    return sum(1 for p in rec(list(range(k))) if len(p) == r)
 
 
 def test_moebius_values():
@@ -50,20 +32,6 @@ def test_totient_values():
     assert totient(1) == 1
     assert totient(4) == len([a for a in range(1, 4) if math.gcd(a, 4) == 1]) == 2
     assert totient(12) == len([a for a in range(1, 12) if math.gcd(a, 12) == 1]) == 4
-
-
-def test_stirling2_against_enumeration():
-    assert stirling2(2, 2) == 1
-    assert stirling2(2, 1) == 1
-    assert stirling2(4, 2) == count_partitions(4, 2) == 7
-    assert stirling2(0, 0) == 1
-    assert stirling2(3, 5) == 0
-
-
-def test_stirling2_recurrence():
-    for k in range(1, 21):
-        for r in range(1, 21):
-            assert stirling2(k, r) == r * stirling2(k - 1, r) + stirling2(k - 1, r - 1)
 
 
 def test_cyclotomic_small():
@@ -134,9 +102,14 @@ def test_cyclotomic_factor_roundtrip_random():
 
 
 def _cyclotomic_factor_oracle(p):
-    """The trial loop as it ran before the (d, phi(d)) pairs were cached."""
+    """The trial loop on Polynomial divmod, with no Phi_d(2) screen, as it ran
+    before the (d, phi(d)) pairs were cached."""
+    if p.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
     if p.coeffs[-1] == -1:
         p = -p
+    if p.coeffs[-1] != 1:
+        raise ValueError("cyclotomic_factor expects a polynomial monic up to sign")
     out = []
     for d in range(1, 2 * p.degree * p.degree + 2):
         if p.degree == 0:
@@ -155,24 +128,57 @@ def _cyclotomic_factor_oracle(p):
 
 
 def test_cyclotomic_factor_matches_trial_loop():
+    """Index list, NotQuasiUnipotent detail and ValueError text all equal the
+    divmod loop's, on products of cyclotomics with multiplicity, either sign,
+    times a non-cyclotomic, Fraction, t^n or non-monic factor."""
     rng = random.Random(20261018)
 
     def outcome(f, p):
         try:
             return f(p)
+        except (NotQuasiUnipotent, ValueError) as exc:
+            return type(exc), str(exc)
+
+    polys = [Polynomial(), Polynomial([1]), Polynomial([-1]), Polynomial([2, 1]),
+             Polynomial([-1, 1]), Polynomial([0, 0, 1]), Polynomial([1, 2])]
+    for trial in range(300):
+        p = Polynomial([rng.choice((-1, 1))])
+        for _ in range(rng.randint(0, 6)):
+            p = p * cyclotomic(rng.choice((1, 1, 2, 3, 4, 5, 6, 7, 9, 12, 15, 16, 30, 60)))
+        other = (Polynomial([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [1]),
+                 Polynomial([Fraction(rng.randint(-3, 3), rng.randint(1, 4)), 1]),
+                 Polynomial([0] * rng.randint(1, 3) + [1]),
+                 Polynomial([rng.randint(-2, 2), rng.choice((2, 3))]),
+                 Polynomial([1]))[trial % 5]
+        polys.append(p * other)
+    for p in polys:
+        assert outcome(cyclotomic_factor, p) == outcome(_cyclotomic_factor_oracle, p)
+
+
+def test_cyclotomic_factor_builds_no_polynomial_per_trial(monkeypatch):
+    """Trial division runs on coefficient lists: with the cyclotomics cached,
+    at most one Polynomial (the negation) is built however many trials run."""
+    products = [Polynomial([-1]) * cyclotomic(1) ** 6 * cyclotomic(2) ** 4 * cyclotomic(12) ** 3,
+                cyclotomic(3) * cyclotomic(5) ** 2 * Polynomial([2, 0, 0, 1]),
+                cyclotomic(30) * cyclotomic(60) * cyclotomic(16) ** 2]
+
+    def factor(p):
+        try:
+            return cyclotomic_factor(p)
         except NotQuasiUnipotent as exc:
             return str(exc)
 
-    polys = [Polynomial([1]), Polynomial([-1]), Polynomial([2, 1]), Polynomial([-1, 1])]
-    for _ in range(60):
-        p = Polynomial([rng.choice((-1, 1))])
-        for _ in range(rng.randint(0, 4)):
-            p = p * cyclotomic(rng.choice((1, 2, 3, 4, 5, 6, 7, 9, 12, 15, 30, 60)))
-        if rng.random() < 0.5:
-            p = p * Polynomial([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [1])
-        polys.append(p)
-    for p in polys:
-        assert outcome(cyclotomic_factor, p) == outcome(_cyclotomic_factor_oracle, p)
+    expected = [factor(p) for p in products]  # fills the caches
+    assert expected[0] == [1] * 6 + [2] * 4 + [12] * 3
+    built = []
+    init, normal = Polynomial.__init__, Polynomial._normal.__func__
+    monkeypatch.setattr(Polynomial, "__init__", lambda self, cs=(): built.append(1) or init(self, cs))
+    monkeypatch.setattr(Polynomial, "_normal",
+                        classmethod(lambda cls, cs: built.append(1) or normal(cls, cs)))
+    for p, want in zip(products, expected):
+        del built[:]
+        assert factor(p) == want
+        assert len(built) <= 1
 
 
 def test_divisor_table_against_brute_force():
@@ -233,6 +239,27 @@ def test_polynomial_arithmetic():
     assert divmod(p * q + Polynomial([5]), p) == (q, Polynomial([5]))
     assert p.substitute_power(2) == Polynomial([1, 0, 2, 0, 3])
     assert Polynomial([2, 0, 1]).reversed() == Polynomial([1, 0, 2])
+
+
+def test_reversal_edges():
+    """The zero polynomial, padding past the degree, and the trailing zeros
+    a factor t^v leaves, in value and in coefficient type."""
+    half = Fraction(1, 2)
+    assert Polynomial().reversed().coeffs == Polynomial().reversed(3).coeffs == ()
+    assert Polynomial([half, 3]).reversed(3).coeffs == (0, 0, 3, half)
+    assert Polynomial([0, 0, 1, half]).reversed().coeffs == (half, 1)
+    assert Polynomial([0, 5]).reversed(4).coeffs == (0, 0, 0, 5)
+    assert Polynomial([7]).reversed(0).coeffs == (7,)
+    with pytest.raises(ValueError, match="reversal degree below actual degree"):
+        Polynomial([1, 2, 3]).reversed(1)
+    rng = random.Random(20261021)
+    for _ in range(200):
+        p = Polynomial([rng.choice((0, 0, 1, -2, half)) for _ in range(rng.randint(0, 7))])
+        d = p.degree + rng.randint(0, 3)
+        r = p.reversed(max(d, -1))
+        assert r == Polynomial([p[d - k] for k in range(d + 1)])
+        assert r.coeffs == Polynomial(r.coeffs).coeffs  # canonical: no trailing zero
+        assert [type(c) for c in r.coeffs] == [type(c) for c in Polynomial(r.coeffs).coeffs]
 
 
 def test_polynomial_powers_match_repeated_products():

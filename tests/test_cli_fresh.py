@@ -63,7 +63,7 @@ CALLS = {
 
 # The names the package exported when it imported every module eagerly.
 EXPORTED = """
-    Polynomial cyclotomic cyclotomic_factor moebius stirling2 totient
+    Polynomial cyclotomic cyclotomic_factor moebius totient
     DegenerateIterate DomainError HalfTwistPresent NotDivisible
     NotEffectivelyTorified NotQuasiUnipotent NotSplit OutOfMemory TruncationTooSmall
     QZElement SplitQZElement pi_n_times_n rho sigma split unsplit

@@ -449,12 +449,16 @@ def _monic_companion_blocks(rng, d):
     return rows
 
 
-def _hessenberg_in_chain_order(m):
-    """Whether m has no nonzero below its subdiagonal in ``_chain_order``."""
+def _hessenberg_in(m, order):
+    """Whether m has no nonzero below its subdiagonal with its indices in order."""
     d = len(m)
-    order = linalg._chain_order(m) or range(d)
     assert sorted(order) == list(range(d))
     return all(not m[order[i]][order[j]] for j in range(d) for i in range(j + 2, d))
+
+
+def _hessenberg_in_chain_order(m):
+    """Whether m has no nonzero below its subdiagonal in ``_chain_order``."""
+    return _hessenberg_in(m, linalg._chain_order(m) or range(len(m)))
 
 
 def test_chain_order_makes_permuted_companions_hessenberg():
@@ -474,10 +478,10 @@ def _exact_path_matrices(seed, count):
     """In turn: permuted companions and block companions, whose subdiagonal
     is zero between blocks; upper Hessenberg matrices with entries in
     [-10^6, 10^6], and with rational entries, some subdiagonal entries
-    zero and stray entries above them; and matrices of dimension 0-2.  In
-    a column with no nonzero below the diagonal, a lone nonzero above it
-    is cleared: such a column leads up in the chain order, which can then
-    leave the index order."""
+    zero and stray entries above them; and matrices of dimension 0-2.  A
+    column with no nonzero below the diagonal and a lone nonzero above it
+    leads up in the chain order, which can then leave Hessenberg form: such
+    a matrix takes the index order."""
     rng = random.Random(seed)
     entries = (lambda: rng.randint(-10**6, 10**6),
                lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
@@ -490,10 +494,6 @@ def _exact_path_matrices(seed, count):
             entry = entries[kind - 1]
             rows = [[entry() if i <= j + 1 and rng.random() < 0.7 else 0 for j in range(d)]
                     for i in range(d)]
-            for j, col in enumerate(zip(*rows)):
-                above = [i for i in range(j) if col[i]]
-                if len(above) == 1 and not any(col[j + 1:]):
-                    rows[above[0]][j] = 0
         else:
             d = trial // 4 % 3
             rows = [[rng.randint(-10**6, 10**6) for _ in range(d)] for _ in range(d)]
@@ -501,14 +501,19 @@ def _exact_path_matrices(seed, count):
 
 
 def test_char_series_over_z_takes_no_prime(monkeypatch):
-    """A matrix upper Hessenberg in the chain order runs the recurrence over
-    Z, with no prime, and matches the power traces in value and coefficient
-    type; a dense matrix takes one prime, the one its bound picks."""
+    """A matrix upper Hessenberg in the chain order or in the index order
+    runs the recurrence over Z, with no prime, and matches the power traces
+    in value and coefficient type; a dense matrix takes one prime, the one
+    its bound picks."""
     squares = _prime_spy(monkeypatch)
+    index_order_only = 0
     for m in _exact_path_matrices(612, 120):
-        assert _hessenberg_in_chain_order(m)
+        in_chain_order = _hessenberg_in_chain_order(m)
+        assert in_chain_order or _hessenberg_in(m, range(len(m)))
+        index_order_only += not in_chain_order
         assert _same(linalg.char_series(m), power_trace_char_series(m))
     assert squares == []
+    assert index_order_only > 5
     rng = random.Random(613)
     dense = linalg.as_matrix([[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(8)]
                               for _ in range(8)])
@@ -523,6 +528,31 @@ def test_char_series_over_z_matches_sympy():
             expected = sympy.Matrix(len(m), len(m), [x for row in m for x in row]).charpoly()
             expected = [Fraction(int(c.p), int(c.q)) for c in expected.all_coeffs()]
             assert _same(linalg.char_series(m), Polynomial(expected))
+
+
+def test_char_series_with_empty_columns_matches_sympy(monkeypatch):
+    """A column with nothing on or above the diagonal carries q_j over.  Block
+    companions have such columns on the exact path, and kron products of
+    companions keep some through the modular reduction; powers of companions
+    take either path.  Both match sympy in value and coefficient type."""
+    sympy = pytest.importorskip("sympy")
+    squares = _prime_spy(monkeypatch)
+    rng = random.Random(616)
+    paths = set()
+    for trial in range(60):
+        a = _monic_companion_blocks(rng, rng.randint(2, 4))
+        m = (a, linalg.kron(a, _monic_companion_blocks(rng, rng.randint(2, 3))),
+             linalg.mat_pow(a, rng.randint(2, 3)))[trial % 3]
+        if trial % 2:
+            m = _permuted(m, rng)
+        if trial % 5 == 4:
+            m = [[Fraction(x, 3) for x in row] for row in m]
+        m, asked = linalg.as_matrix(m), len(squares)
+        expected = sympy.Matrix(len(m), len(m), [x for row in m for x in row]).charpoly()
+        expected = Polynomial([Fraction(int(c.p), int(c.q)) for c in expected.all_coeffs()])
+        assert _same(linalg.char_series(m), expected)
+        paths.add(len(squares) > asked)
+    assert paths == {False, True}
 
 
 def _permutation_test_matrices(seed, count):

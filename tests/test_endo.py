@@ -64,6 +64,26 @@ def test_endo_frobenius_verschiebung_shapes():
     assert fv.matrix == ((5, 0), (0, 5))
 
 
+def test_endo_verschiebung_matches_its_entries():
+    """Block (0, n - 1) is e's matrix, blocks (b + 1, b) are identities and
+    the rest is zero, entry by entry, in value and type (ints stay ints)."""
+    rng = random.Random(48)
+    for n in range(1, 5):
+        for d in range(6):
+            e = EndoObject.of([[rng.choice((0, 2, -1, Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+                                for _ in range(d)] for _ in range(d)])
+
+            def entry(i, j):
+                if i < d and j >= (n - 1) * d:
+                    return e.matrix[i][j - (n - 1) * d]
+                return 1 if i // d == j // d + 1 and i % d == j % d else 0
+
+            expected = tuple(tuple(entry(i, j) for j in range(n * d)) for i in range(n * d))
+            got = endo_verschiebung(n, e).matrix
+            assert got == expected
+            assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in expected]
+
+
 def test_bridge_diagrams():
     rng = random.Random(47)
     N = 12

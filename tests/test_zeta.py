@@ -1,11 +1,13 @@
+import math
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from bcwitt import zeta
-from bcwitt.arith import Polynomial, stirling2
+from bcwitt.arith import Polynomial
 from bcwitt.errors import LimitExceeded
 from bcwitt.torified import TorifiedClass
 from bcwitt.witt import GhostVector, RationalWitt, ghost, series_div
@@ -41,6 +43,47 @@ def test_polylog_rational_small():
     assert polylog_rational(1) == (Polynomial([0, 1]), Polynomial([1, -1]))
     assert polylog_rational(2) == (Polynomial([0, 1]), Polynomial([1, -1]) ** 2)
     assert polylog_rational(3) == (Polynomial([0, 1, 1]), Polynomial([1, -1]) ** 3)
+
+
+def stirling2(k, r):
+    """Stirling number of the second kind S(k, r), from the alternating
+    binomial sum r! S(k, r) = sum_{j=0..r} (-1)^(r-j) C(r, j) j^k, 0^0 = 1."""
+    if r > k:
+        return 0
+    total = sum((-1) ** (r - j) * math.comb(r, j) * j**k for j in range(r + 1))
+    q, rem = divmod(total, math.factorial(r))
+    assert rem == 0
+    return q
+
+
+def count_partitions(k, r):
+    """Brute-force count of set partitions of {0..k-1} into exactly r blocks."""
+    def rec(elems):
+        if not elems:
+            yield []
+            return
+        first, rest = elems[0], elems[1:]
+        for size in range(len(rest) + 1):
+            for others in combinations(rest, size):
+                block = (first,) + others
+                remaining = [e for e in rest if e not in others]
+                for tail in rec(remaining):
+                    yield [block] + tail
+    return sum(1 for p in rec(list(range(k))) if len(p) == r)
+
+
+def test_stirling2_against_enumeration():
+    assert stirling2(2, 2) == 1
+    assert stirling2(2, 1) == 1
+    assert stirling2(4, 2) == count_partitions(4, 2) == 7
+    assert stirling2(0, 0) == 1
+    assert stirling2(3, 5) == 0
+
+
+def test_stirling2_recurrence():
+    for k in range(1, 21):
+        for r in range(1, 21):
+            assert stirling2(k, r) == r * stirling2(k - 1, r) + stirling2(k - 1, r - 1)
 
 
 def stirling_polylog(k):
