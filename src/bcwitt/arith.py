@@ -17,6 +17,8 @@ is by repeated trial division, smallest index first, on coefficient lists in
 its trial list sieves phi in one pass.
 ``_power_series`` is the one power kernel: polynomial powers, ``witt_scale``
 and the T/L basis substitutions of ``torified`` all run through it.
+``_numerators`` is the one common-denominator step (x * D as ints):
+``_primitive_int`` and ``witt.series_mul`` use it.
 """
 
 from __future__ import annotations
@@ -120,6 +122,13 @@ def _clear(xs: Sequence[Coeff], E: int = 1) -> tuple[int, Sequence[Coeff]]:
         else:
             out.append(x * Em)
     return E, out
+
+
+def _numerators(xs: Sequence[Coeff], D: int) -> Sequence[Coeff]:
+    """x * D for each x, as ints when D is a common denominator of xs."""
+    if D == 1:
+        return xs
+    return [x.numerator * (D // x.denominator) if type(x) is Fraction else x * D for x in xs]
 
 
 def _unclear(bs: Sequence[Coeff], E: int, S: int = 1) -> Sequence[Coeff]:
@@ -309,14 +318,8 @@ class Polynomial:
 
 def _primitive_int(p: Polynomial) -> Polynomial:
     """Scale to an integer polynomial with content 1 and positive lead."""
-    denlcm = 1
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in p.coeffs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
+    ints = _numerators(p.coeffs, math.lcm(*map(_denominator, p.coeffs)))
+    content = math.gcd(*ints)
     if content == 0:
         return Polynomial()
     if ints[-1] < 0:
@@ -330,23 +333,16 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     Reducing to content-1 integer polynomials after every pseudo-division
     keeps coefficient growth tame where plain fraction Euclid blows up.
     """
-    if a.is_zero():
-        a, b = b, a
-    if b.is_zero():
-        if a.is_zero():
-            return a
-        lead = a.coeffs[-1]
-        return Polynomial([Fraction(c, 1) / lead for c in a.coeffs])
     big, small = _primitive_int(a), _primitive_int(b)
-    if big.degree < small.degree:
+    if big.degree < small.degree:  # a zero operand (degree -1) becomes small
         big, small = small, big
     while not small.is_zero():
         # lead(small)^(gap+1) * big is exactly divisible step by step.
         gap = big.degree - small.degree
         scaled = big * (small.coeffs[-1] ** (gap + 1))
         big, small = small, _primitive_int(scaled % small)
-    lead = big.coeffs[-1]
-    return Polynomial([Fraction(c, 1) / lead for c in big.coeffs])
+    # The lead is read per entry, so a zero big (both operands zero) reads none.
+    return Polynomial([Fraction(c, big.coeffs[-1]) for c in big.coeffs])
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -80,7 +80,7 @@ class ToralMap(Record):
 
 
 def _cyclotomic_indices(m: Matrix) -> list[int]:  # raises NotQuasiUnipotent
-    return cyclotomic_factor(linalg.charpoly(m))
+    return cyclotomic_factor(linalg.char_series(m).reversed(len(m)))
 
 
 def _period(indices: Sequence[int]) -> tuple[dict[int, tuple[int, int, int]], dict[int, int]]:

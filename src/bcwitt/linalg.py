@@ -1,7 +1,8 @@
 """Small exact matrix helpers over Z and Q.
 
 Matrices are tuples of row tuples with int/Fraction entries.  The one
-spectral kernel is ``char_series``, det(1 - t M) from a Hessenberg form,
+spectral kernel is ``char_series``, det(1 - t M) from a Hessenberg form
+(its reversal to degree n is the characteristic polynomial det(t - M)),
 with the indices in chain order, which leaves det(1 - t M) unchanged.  A
 permuted companion or block companion is then upper Hessenberg already, and
 its recurrence runs over Z: it only multiplies and adds, so it is exact.
@@ -261,11 +262,6 @@ def char_series(m: Matrix) -> Polynomial:
     half = p >> 1
     lifted = [c - p if c > half else c for c in qs[n]] if p else qs[n]
     return Polynomial(lifted[:1] + _unclear(lifted[1:], den))
-
-
-def charpoly(m: Matrix) -> Polynomial:
-    """Monic characteristic polynomial det(t - M)."""
-    return char_series(m).reversed(len(m))
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:

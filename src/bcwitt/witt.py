@@ -22,17 +22,18 @@ ghosts of ``_ghosts`` (scale E_a E_b, or E^n) to ``_unghosts`` through
 ghosts themselves, so no Fraction is built between the two loops.
 ``series_div`` runs on the same homothety; ``series_mul`` does not, because
 a product has no powers of its entries, so E^m would only inflate it: it
-puts each side over the lcm of its denominators and reduces each output
-once.  So a Fraction appears mid-loop only for the part of a denominator
-that ``_clear`` leaves alone (primes above 1000 after the first entry, or a
-cover past its bit cap), and in ``series_mul`` on sides whose denominators
-are wider than ``arith._CLEAR_MAX_BITS`` bits per Fraction entry.  ``_ghosts`` stops the
-sum at the last nonzero coefficient, so a polynomial padded to truncation N
-costs O(N * degree).  ``_ghosts``, ``_unghosts``, ``series_mul``, ``series_div``
-and ``arith._power_series`` are the package's only Newton and series loops (the
-matrix layers reach them through det(1 - t M)), beside the product and division
-loops of ``arith.Polynomial``.  Each series loop keeps its past outputs in a
-buffer newest first, so every inner sum is one ``sum(map(mul, coeffs, rev))``.
+puts each side over the lcm of its denominators (``arith._numerators``) and
+reduces each output once.  So a Fraction appears mid-loop only for the part
+of a denominator that ``_clear`` leaves alone (primes above 1000 after the
+first entry, or a cover past its bit cap), and in ``series_mul`` on sides
+whose denominators are wider than ``arith._CLEAR_MAX_BITS`` bits per
+Fraction entry.  ``_ghosts`` stops the sum at the last nonzero coefficient,
+so a polynomial padded to truncation N costs O(N * degree).  ``_ghosts``,
+``_unghosts``, ``series_mul``, ``series_div`` and ``arith._power_series``
+are the package's only Newton and series loops (the matrix layers reach them
+through det(1 - t M)), beside the product and division loops of
+``arith.Polynomial``.  Each series loop keeps its past outputs in a buffer
+newest first, so every inner sum is one ``sum(map(mul, coeffs, rev))``.
 
 Operations follow the Witt dictionary: addition is the series product,
 multiplication is pointwise on ghosts, the Teichmueller lift of a is the
@@ -56,7 +57,7 @@ from operator import mul
 from typing import Sequence, Union
 
 from .arith import (_CLEAR_MAX_BITS, Polynomial, _clear, _cover, _denominator, _norm_coeff,
-                    _power_series, _unclear, poly_gcd)
+                    _numerators, _power_series, _unclear, poly_gcd)
 from .errors import (NotDivisible, TruncationTooSmall, _integer, _json_list, _number, _numstr,
                      _size)
 from .record import Record
@@ -152,13 +153,6 @@ def _common_denominator(xs: Sequence[Scalar]) -> tuple[int, int]:
     return D, k
 
 
-def _numerators(xs: Sequence[Scalar], D: int) -> Sequence[Scalar]:
-    """x * D for each x, as ints when D is a common denominator of xs."""
-    if D == 1:
-        return xs
-    return [x.numerator * (D // x.denominator) if type(x) is Fraction else x * D for x in xs]
-
-
 def series_mul(a: Sequence[Scalar], b: Sequence[Scalar], n: int) -> list[Scalar]:
     """Product of 1 + sum a_m t^m and 1 + sum b_m t^m, coefficients 1..n.
 
@@ -234,7 +228,7 @@ def _unghosts(E: int, v: Sequence[Scalar]) -> Sequence[Scalar]:
 def _rescale(F: int, xs: Sequence[Scalar]) -> tuple[int, Sequence[Scalar]]:
     """_clear(_unclear(xs, F)) without the reduced values: one gcd per entry
     gives den(x_m / F^m), which divides F^m, so their cover E divides F."""
-    if any(type(x) is Fraction for x in xs):
+    if F == 1 or any(type(x) is Fraction for x in xs):
         return _clear(_unclear(xs, F))
     dens, Fm = [], 1
     for x in xs:
@@ -303,9 +297,8 @@ def frobenius(n: int, w: WittVector) -> WittVector:
 
 def verschiebung(n: int, w: WittVector) -> WittVector:
     """V_n: P(t) -> P(t^n), keeping the stored truncation."""
-    cs = [0] * w.trunc
-    for m in range(1, w.trunc // _size("index", n) + 1):
-        cs[m * n - 1] = w.coeffs[m - 1]
+    cs = [0] * w.trunc  # c_m becomes the coefficient of t^(m n)
+    cs[n - 1::n] = w.coeffs[:w.trunc // _size("index", n)]
     return WittVector(w.trunc, tuple(cs))
 
 

@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from bcwitt.arith import Polynomial, cyclotomic, totient
+from bcwitt.arith import Polynomial
 from bcwitt.dynamical import (
     ToralMap,
     lefschetz_zeta_closed,
@@ -43,6 +43,9 @@ from bcwitt.witt import (
     WittVector,
 )
 from bcwitt.zeta import f1_zeta, hw_quotient_check, q_to_1_limit, z1
+
+from builders import (action_from_cycle_sizes, cyclotomic_companion, cyclotomic_multisets,
+                      multisets_up_to)
 
 
 @contextmanager
@@ -135,37 +138,11 @@ def test_criterion_4_endomorphism_witt_bridge():
                 ghost(verschiebung(n, l_map(a).expand(N)))
 
 
-def _cyclotomic_multisets(max_index, max_degree):
-    def rec(start, budget):
-        yield ()
-        for m in range(start, max_index + 1):
-            d = totient(m)
-            if d <= budget:
-                for rest in rec(m, budget - d):
-                    yield (m,) + rest
-    for ms in rec(1, max_degree):
-        if ms:
-            yield ms
-
-
-def _companion(indices):
-    p = Polynomial([1])
-    for m in indices:
-        p = p * cyclotomic(m)
-    d = p.degree
-    rows = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        rows[i][i - 1] = 1
-    for i in range(d):
-        rows[i][d - 1] = -p.coeffs[i]
-    return ToralMap.of(rows)
-
-
 def test_criterion_5_lefschetz_closed_form():
     with criterion(5, "closed form equals exp-series to t^24 on all companions", 30.0):
         count = 0
-        for indices in _cyclotomic_multisets(12, 6):
-            f = _companion(indices)
+        for indices in cyclotomic_multisets(12, 6):
+            f = cyclotomic_companion(*indices)
             assert lefschetz_zeta_closed(f).expand(24) == lefschetz_zeta_series(f, 24)
             count += 1
         assert count >= 100
@@ -202,36 +179,14 @@ def test_criterion_7_exponentiability():
             assert f1_zeta(a + b, trunc).ghost == ga + gb
             assert f1_zeta(a * b, trunc).ghost == ga * gb
         for _ in range(20):
-            f1 = _companion((rng.choice([1, 2, 3, 4, 6]),))
-            f2 = _companion((rng.choice([1, 2, 3, 4, 6]),))
+            f1 = cyclotomic_companion(rng.choice([1, 2, 3, 4, 6]))
+            f2 = cyclotomic_companion(rng.choice([1, 2, 3, 4, 6]))
             g1 = ghost(lefschetz_zeta_series(f1, trunc))
             g2 = ghost(lefschetz_zeta_series(f2, trunc))
             union = torified_dynamical_zeta([f1, f2], trunc)
             assert ghost(union) == g1 + g2
             product = ToralMap.of(linalg.block_diag(f1.matrix, f2.matrix))
             assert ghost(lefschetz_zeta_series(product, trunc)) == g1 * g2
-
-
-def _all_cycle_types(level, max_size):
-    lengths = [d for d in range(1, level + 1) if level % d == 0]
-
-    def rec(start, budget):
-        yield ()
-        for i in range(start, len(lengths)):
-            d = lengths[i]
-            if d <= budget:
-                for rest in rec(i, budget - d):
-                    yield (d,) + rest
-    yield from rec(0, max_size)
-
-
-def _action_from_sizes(level, sizes):
-    perm = []
-    base = 0
-    for d in sizes:
-        perm.extend(base + (i + 1) % d for i in range(d))
-        base += d
-    return CyclicAction.of(level, perm)
 
 
 def _random_action(rng, max_level=8, max_size=10):
@@ -258,8 +213,9 @@ def _random_action(rng, max_level=8, max_size=10):
 def test_criterion_8_equivariant_model():
     with criterion(8, "periodic-point identities exhaustively and Euler intertwining", 60.0):
         for level in range(1, 9):
-            for sizes in _all_cycle_types(level, 12):
-                action = _action_from_sizes(level, sizes)
+            lengths = [d for d in range(1, level + 1) if level % d == 0]
+            for sizes in multisets_up_to(lengths, 12):
+                action = action_from_cycle_sizes(level, sizes)
                 for n in range(1, 5):
                     shifted = sigma_action(n, action)
                     spread = verschiebung_action(n, action)
@@ -283,7 +239,7 @@ def test_criterion_8_equivariant_model():
 def test_criterion_9_spectral_euler():
     with criterion(9, "spectral Euler characteristic intertwines powers and blocks", 30.0):
         for m in range(1, 13):
-            f = _companion((m,))
+            f = cyclotomic_companion(m)
             base = spectral_euler(f)
             for n in range(1, 7):
                 assert spectral_euler(linalg.mat_pow(f.matrix, n)) == sigma(n, base)

@@ -18,6 +18,8 @@ from bcwitt.arith import (
 )
 from bcwitt.errors import LimitExceeded, NotQuasiUnipotent
 
+from builders import typed
+
 
 def test_moebius_values():
     assert moebius(1) == 1
@@ -294,6 +296,46 @@ def test_poly_gcd():
     assert poly_gcd(a, b) == Polynomial([-1, 1])
     assert poly_gcd(a, Polynomial()).exact_div(Polynomial([-1, 1]) * Polynomial([1, 0, 1])).degree == 0
     assert poly_gcd(b, a * b) == poly_gcd(b, b)
+
+
+def test_poly_gcd_matches_sympy():
+    """The monic gcd over Q, in value and coefficient type (int where
+    integral), with zero operands on either side or both, negative leads and
+    Fraction coefficients."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(307)
+
+    def rand_poly(max_degree):
+        return Polynomial([Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 7)))
+                           for _ in range(rng.randint(0, max_degree + 1))])
+
+    def sympy_gcd(a, b):
+        def to_sympy(p):
+            return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in reversed(p.coeffs)] or [0], x, domain="QQ")
+        g = to_sympy(a).gcd(to_sympy(b))
+        if g.is_zero:
+            return []
+        return [int(c) if c.q == 1 else Fraction(int(c.p), int(c.q))
+                for c in reversed(g.monic().all_coeffs())]
+
+    cases = [(Polynomial(), Polynomial()), (Polynomial(), Polynomial([Fraction(1, 2), -3])),
+             (Polynomial([4, 0, -2]), Polynomial())]
+    for _ in range(300):
+        a, b, common = rand_poly(4), rand_poly(4), rand_poly(3)
+        if common and rng.random() < 0.7:
+            a, b = a * common, b * common
+        if rng.random() < 0.1:
+            a = Polynomial()
+        elif rng.random() < 0.1:
+            b = Polynomial()
+        cases.append((a, b))
+    leads = set()
+    for a, b in cases:
+        leads.update(p.coeffs[-1] < 0 for p in (a, b) if p)
+        assert typed(poly_gcd(a, b).coeffs) == typed(sympy_gcd(a, b))
+    assert leads == {False, True}
 
 
 def test_cyclotomic_matches_sympy():

@@ -29,6 +29,8 @@ from bcwitt.endo import EndoObject, l_map  # noqa: E402
 from bcwitt.equivariant import CyclicAction, euler_char, periodic_points  # noqa: E402
 from bcwitt.qz import QZElement, rho, sigma  # noqa: E402
 
+from builders import companion_rows  # noqa: E402
+
 N = 24
 LAWS = settings(max_examples=40, deadline=None, database=None)
 
@@ -113,20 +115,10 @@ actions = st.lists(st.integers(1, 12), max_size=6).flatmap(
                             st.integers(1, 3)))
 
 
-def _companion(p) -> list[list[int]]:
-    d = p.degree
-    rows = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        rows[i][i - 1] = 1
-    for i in range(d):
-        rows[i][d - 1] = -p.coeffs[i]
-    return rows
-
-
 def _block_sum(indices: list[int]):
     mat = ()
     for m in indices:
-        mat = linalg.block_diag(mat, linalg.as_matrix(_companion(cyclotomic(m))))
+        mat = linalg.block_diag(mat, linalg.as_matrix(companion_rows(cyclotomic(m))))
     return mat
 
 

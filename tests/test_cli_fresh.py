@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 import bcwitt
-from bcwitt.arith import Polynomial, cyclotomic
 from bcwitt.cli import COMMANDS, main
+
+from builders import cyclotomic_companion
 
 SRC = str(Path(bcwitt.__file__).resolve().parents[1])
 ACTION = '{"level":6,"perm":[1,2,3,4,5,0]}'
@@ -158,17 +159,8 @@ _M16 = random.Random(1)
 M16 = json.dumps({"rows": [[_M16.randint(-3, 3) for _ in range(16)] for _ in range(16)]})
 
 
-def _companion_rows(indices):
-    """The rows of the companion matrix of prod Phi_m over the indices."""
-    p = Polynomial([1])
-    for m in indices:
-        p = p * cyclotomic(m)
-    d = p.degree
-    return [[int(i == j + 1) if j < d - 1 else -p.coeffs[i] for j in range(d)] for i in range(d)]
-
-
 # Phi_3 Phi_5 Phi_16 Phi_38 Phi_51 has degree 2 + 4 + 8 + 18 + 32 = 64, the dimension ceiling.
-C64 = json.dumps({"rows": _companion_rows([3, 5, 16, 38, 51])})
+C64 = json.dumps(cyclotomic_companion(3, 5, 16, 38, 51).to_json())
 ENDINGS = [
     # Calls that ran until killed before their size had a ceiling in
     # errors._SIZES.

@@ -22,25 +22,10 @@ from bcwitt import linalg
 from bcwitt.qz import QZElement, rho, sigma
 from bcwitt.witt import GhostVector, WittVector, ghost, unghost
 
+from builders import (companion_rows, cyclotomic_companion, cyclotomic_multisets,
+                      lefschetz_numbers_oracle)
+
 ROT = ToralMap.of([[0, -1], [1, 0]])
-
-
-def companion(p: Polynomial):
-    """Companion matrix of a monic integer polynomial."""
-    d = p.degree
-    rows = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        rows[i][i - 1] = 1
-    for i in range(d):
-        rows[i][d - 1] = -p.coeffs[i]
-    return ToralMap.of(rows)
-
-
-def cyclotomic_companion(*indices):
-    prod = Polynomial([1])
-    for m in indices:
-        prod = prod * cyclotomic(m)
-    return companion(prod)
 
 
 def test_lefschetz_numbers():
@@ -83,14 +68,6 @@ def test_lefschetz_numbers_match_power_determinants():
         assert lefschetz_numbers(f, 24) == expected
 
 
-def _lefschetz_numbers_oracle(f, trunc):
-    """One GhostVector and one unghost per iterate, as the vectors' own path."""
-    d = f.dim
-    g = ghost(WittVector.from_coeffs(linalg.char_series(f.matrix).coeffs[1:], trunc * d)).values
-    return [1 + sum(unghost(GhostVector.of(g[n - 1::n][:d])).coeffs)
-            for n in range(1, trunc + 1)]
-
-
 def _permuted(rows, rng):
     p = list(range(len(rows)))
     rng.shuffle(p)
@@ -120,13 +97,13 @@ def test_lefschetz_numbers_match_the_vector_path():
         f, _ = _quasi_unipotent(rng, rng.randint(1, 12))
         got = lefschetz_numbers(f, 48)
         assert [type(x) for x in got] == [int] * 48
-        assert got == _lefschetz_numbers_oracle(f, 48)
+        assert got == lefschetz_numbers_oracle(f, 48)
     for _ in range(10):
         d = rng.randint(1, 12)
         f = ToralMap.of([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
         got = lefschetz_numbers(f, 48)
         assert [type(x) for x in got] == [int] * 48
-        assert got == _lefschetz_numbers_oracle(f, 48)
+        assert got == lefschetz_numbers_oracle(f, 48)
 
 
 def test_spectral_euler_matches_fraction_keyed_sum():
@@ -214,7 +191,7 @@ def test_lefschetz_zeta_closed_examples():
 def test_lefschetz_closed_vs_series_companions():
     rng = random.Random(103)
     seen = 0
-    for indices in _cyclotomic_multisets(max_index=12, max_degree=6):
+    for indices in cyclotomic_multisets(max_index=12, max_degree=6):
         f = cyclotomic_companion(*indices)
         closed = lefschetz_zeta_closed(f)
         assert closed.expand(24) == lefschetz_zeta_series(f, 24)
@@ -228,20 +205,6 @@ def test_lefschetz_closed_vs_series_companions():
         conj = linalg.mat_mul(linalg.mat_mul(u, f.matrix), _unimodular_inverse(u))
         g = ToralMap.of(conj)
         assert lefschetz_zeta_closed(g).expand(20) == lefschetz_zeta_series(g, 20)
-
-
-def _cyclotomic_multisets(max_index, max_degree):
-    """All multisets of cyclotomic indices with total degree <= max_degree."""
-    def rec(start, budget):
-        yield ()
-        for m in range(start, max_index + 1):
-            d = totient(m)
-            if d <= budget:
-                for rest in rec(m, budget - d):
-                    yield (m,) + rest
-    for ms in rec(1, max_degree):
-        if ms:
-            yield ms
 
 
 def _random_unimodular(rng, d):
@@ -445,7 +408,7 @@ def _monic_companion_blocks(rng, d):
     while len(rows) < d:
         k = rng.randint(1, d - len(rows))
         p = Polynomial([rng.randint(-4, 4) for _ in range(k)] + [1])
-        rows = linalg.block_diag(rows, companion(p).matrix)
+        rows = linalg.block_diag(rows, linalg.as_matrix(companion_rows(p)))
     return rows
 
 
@@ -784,7 +747,7 @@ def test_not_quasi_unipotent_degree():
     for _ in range(150):
         d = rng.randint(2, 6)
         m = linalg.as_matrix([[rng.randint(-1, 1) for _ in range(d)] for _ in range(d)])
-        cp = linalg.charpoly(m)
+        cp = linalg.char_series(m).reversed(len(m))
         leftover = sum(factor.degree() * mult for factor, mult in
                        sympy.Poly(list(reversed(cp.coeffs)), x).factor_list()[1]
                        if not factor.is_cyclotomic)

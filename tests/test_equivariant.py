@@ -19,6 +19,8 @@ from bcwitt.equivariant import (
 )
 from bcwitt.qz import QZElement, rho, sigma
 
+from builders import action_from_cycle_sizes, multisets_up_to
+
 
 # ----------------------------------------------- constructions (tests only)
 
@@ -168,8 +170,8 @@ def test_fixed_point_identities_exhaustive():
     # and total size <= 12, against all n <= 4, k <= 32.
     for level in range(1, 9):
         lengths = [d for d in range(1, level + 1) if level % d == 0]
-        for sizes in _multisets_up_to(lengths, 12):
-            action = _action_from_cycle_sizes(level, sizes)
+        for sizes in multisets_up_to(lengths, 12):
+            action = action_from_cycle_sizes(level, sizes)
             for n in range(1, 5):
                 shifted = sigma_action(n, action)
                 spread = verschiebung_action(n, action)
@@ -183,26 +185,6 @@ def test_fixed_point_identities_exhaustive():
                         expected = frozenset(
                             j * action.size + s for j in range(n) for s in base)
                         assert pp == expected
-
-
-def _multisets_up_to(lengths, max_total):
-    def rec(start, budget):
-        yield ()
-        for i in range(start, len(lengths)):
-            d = lengths[i]
-            if d <= budget:
-                for rest in rec(i, budget - d):
-                    yield (d,) + rest
-    yield from rec(0, max_total)
-
-
-def _action_from_cycle_sizes(level, sizes):
-    perm = []
-    base = 0
-    for d in sizes:
-        perm.extend(base + (i + 1) % d for i in range(d))
-        base += d
-    return CyclicAction.of(level, perm)
 
 
 def test_euler_char_examples():

@@ -26,6 +26,8 @@ from bcwitt.witt import (
     witt_sub,
 )
 
+from builders import norm, typed
+
 
 def random_witt(rng, trunc, integral=True):
     if integral:
@@ -143,6 +145,21 @@ def test_verschiebung():
     assert ghost(v).values == (0, 2, 0, 2)
     a = WittVector.from_coeffs([3, 1, 4, 1])
     assert verschiebung(1, a) == a
+
+    def by_index(n, w):  # the definition: c_m becomes the coefficient of t^(m n)
+        cs = [0] * w.trunc
+        for m in range(1, w.trunc // n + 1):
+            cs[m * n - 1] = w.coeffs[m - 1]
+        return cs
+
+    r = WittVector.from_coeffs([Fraction(1, 2), Fraction(-3, 7), 5, 0, Fraction(2, 1009), -1])
+    for w in (a, r):
+        for n in range(1, w.trunc + 3):  # up to n = trunc and past it
+            got = verschiebung(n, w)
+            assert got.trunc == w.trunc and typed(got.coeffs) == typed(by_index(n, w))
+        assert verschiebung(w.trunc + 1, w).coeffs == (0,) * w.trunc
+    with pytest.raises(ValueError):
+        verschiebung(0, a)
 
 
 def test_witt_relations():
@@ -315,17 +332,13 @@ def test_newton_kernel_against_sympy():
 # Reference Newton and convolution loops in plain int/Fraction arithmetic,
 # normalized per step, with no homothety t -> E t.
 
-def _norm(c):
-    return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
-
-
 def _ghost_oracle(c):
     ns = []
     for m in range(1, len(c) + 1):
         s = m * c[m - 1]
         for i in range(1, m):
             s -= c[i - 1] * ns[m - i - 1]
-        ns.append(_norm(s))
+        ns.append(norm(s))
     return ns
 
 
@@ -335,7 +348,7 @@ def _unghost_oracle(v):
         s = v[m - 1]
         for j in range(1, m):
             s += v[j - 1] * cs[m - j - 1]
-        cs.append(s // m if isinstance(s, int) and not s % m else _norm(Fraction(s, m)))
+        cs.append(s // m if isinstance(s, int) and not s % m else norm(Fraction(s, m)))
     return cs
 
 
@@ -344,7 +357,7 @@ def _series_mul_oracle(a, b, n):
     out = []
     for m in range(1, n + 1):
         lo, hi = max(0, m - len(b) + 1), min(m, len(a) - 1)
-        out.append(_norm(sum(a[i] * b[m - i] for i in range(lo, hi + 1))))
+        out.append(norm(sum(a[i] * b[m - i] for i in range(lo, hi + 1))))
     return out
 
 
@@ -354,12 +367,8 @@ def _series_div_oracle(a, b, n):
         s = a[m - 1] if m <= len(a) else 0
         for j in range(1, min(m, len(b)) + 1):
             s -= b[j - 1] * out[m - j]
-        out.append(_norm(s))
+        out.append(norm(s))
     return out[1:]
-
-
-def _typed(xs):
-    return [(type(x), x) for x in xs]
 
 
 def _next_prime(n):
@@ -407,15 +416,15 @@ def _check_kernels(a, b):
     n = len(a)
     wa, wb = WittVector.from_coeffs(a), WittVector.from_coeffs(b)
     ga, gb = ghost(wa), ghost(wb)
-    assert _typed(ga.values) == _typed(_ghost_oracle(wa.coeffs))
-    assert _typed(unghost(ga).coeffs) == _typed(_unghost_oracle(ga.values))
+    assert typed(ga.values) == typed(_ghost_oracle(wa.coeffs))
+    assert typed(unghost(ga).coeffs) == typed(_unghost_oracle(ga.values))
     prod = ga * gb
-    assert _typed(unghost(prod).coeffs) == _typed(_unghost_oracle(prod.values))
-    assert _typed(series_mul(wa.coeffs, wb.coeffs, n)) == _typed(
+    assert typed(unghost(prod).coeffs) == typed(_unghost_oracle(prod.values))
+    assert typed(series_mul(wa.coeffs, wb.coeffs, n)) == typed(
         _series_mul_oracle(wa.coeffs, wb.coeffs, n))
-    assert _typed(series_div(wa.coeffs, wb.coeffs, n)) == _typed(
+    assert typed(series_div(wa.coeffs, wb.coeffs, n)) == typed(
         _series_div_oracle(wa.coeffs, wb.coeffs, n))
-    assert _typed(series_div((), wb.coeffs, n)) == _typed(_series_div_oracle((), wb.coeffs, n))
+    assert typed(series_div((), wb.coeffs, n)) == typed(_series_div_oracle((), wb.coeffs, n))
 
 
 def test_kernels_match_fraction_path_random():
@@ -435,9 +444,9 @@ def test_kernels_match_fraction_path_random():
     # Short polynomial sides, as RationalWitt.expand passes them.
     for _ in range(10):
         a, b = vec(rng.randint(0, 4), "rational"), vec(rng.randint(0, 4), "mixed")
-        assert _typed(series_div(a, b, 40)) == _typed(_series_div_oracle(a, b, 40))
+        assert typed(series_div(a, b, 40)) == typed(_series_div_oracle(a, b, 40))
     padded = WittVector.from_coeffs([Fraction(1, 6), 0, Fraction(-2, 9)], 40)
-    assert _typed(ghost(padded).values) == _typed(_ghost_oracle(padded.coeffs))
+    assert typed(ghost(padded).values) == typed(_ghost_oracle(padded.coeffs))
 
 
 def test_kernels_match_fraction_path_adversarial():
@@ -459,7 +468,7 @@ def test_kernels_match_fraction_path_edge_cases():
     for n in (1, 2, 5, 24):
         for dens in ((1,), (1, 2, 3, 7), (1, 1000003)):
             g = GhostVector.of([Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)])
-            assert _typed(unghost(g).coeffs) == _typed(_unghost_oracle(g.values))
+            assert typed(unghost(g).coeffs) == typed(_unghost_oracle(g.values))
     for n in (7, 60, 120):
         witt_ghosts = list(ghost(random_witt(rng, n)).values)
         for values in ([rng.randint(-9, 9) for _ in range(n)],
@@ -471,12 +480,12 @@ def test_kernels_match_fraction_path_edge_cases():
                        [Fraction(1, 1009)] + witt_ghosts[1:]):
             g = GhostVector.of(values)
             got = unghost(g)
-            assert _typed(got.coeffs) == _typed(_unghost_oracle(g.values))
+            assert typed(got.coeffs) == typed(_unghost_oracle(g.values))
             assert ghost(got) == g
     for n in (1, 4):
         zero = WittVector.one(n)
         assert ghost(zero).values == (0,) * n
-        assert _typed(unghost(GhostVector.of([0] * n)).coeffs) == _typed([0] * n)
+        assert typed(unghost(GhostVector.of([0] * n)).coeffs) == typed([0] * n)
         _check_kernels([0] * n, [0] * n)
     for x in (5, Fraction(1, 3), Fraction(-7, 2**61 - 1)):
         _check_kernels([x], [Fraction(2, 9)])
@@ -492,11 +501,11 @@ def test_newest_first_buffers_at_the_edges():
     for n in (1, 2, 6):
         for a in sides:
             for b in sides:
-                assert _typed(series_mul(a, b, n)) == _typed(_series_mul_oracle(a, b, n))
-                assert _typed(series_div(a, b, n)) == _typed(_series_div_oracle(a, b, n))
+                assert typed(series_mul(a, b, n)) == typed(_series_mul_oracle(a, b, n))
+                assert typed(series_div(a, b, n)) == typed(_series_div_oracle(a, b, n))
             w = WittVector.from_coeffs(a, n)
-            assert _typed(ghost(w).values) == _typed(_ghost_oracle(w.coeffs))
-            assert _typed(unghost(GhostVector.of(w.coeffs)).coeffs) == _typed(
+            assert typed(ghost(w).values) == typed(_ghost_oracle(w.coeffs))
+            assert typed(unghost(GhostVector.of(w.coeffs)).coeffs) == typed(
                 _unghost_oracle(w.coeffs))
 
 
@@ -536,7 +545,7 @@ def _check_clear(xs, start=1):
     if E == 1:
         assert scaled is xs and _unclear(scaled, E) is xs
     else:
-        assert _typed(_unclear(scaled, E)) == _typed([_norm(x) for x in xs])
+        assert typed(_unclear(scaled, E)) == typed([norm(x) for x in xs])
     return E
 
 
@@ -608,13 +617,13 @@ def test_series_mul_shared_denominator_rule(monkeypatch):
         for a, b, cleared in _series_mul_boundary(n, rng):
             seen.clear()
             got = series_mul(a, b, n)
-            assert _typed(got) == _typed(_series_mul_oracle(a, b, n))
+            assert typed(got) == typed(_series_mul_oracle(a, b, n))
             lcm = [math.lcm(*(Fraction(x).denominator for x in side)) for side in (a, b)]
             assert seen == [lcm[0] * lcm[1] if cleared else 1], (n, cleared)
     # Integral sides, and the Witt zero, keep D = 1.
     for a, b in (([1, 2, 3], [4, 5]), ((), (7,)), ((), ())):
         seen.clear()
-        assert _typed(series_mul(a, b, 4)) == _typed(_series_mul_oracle(a, b, 4))
+        assert typed(series_mul(a, b, 4)) == typed(_series_mul_oracle(a, b, 4))
         assert seen == [1]
 
 

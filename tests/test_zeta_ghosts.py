@@ -7,8 +7,9 @@ over the Lefschetz numbers, the torified product of per-torus series by
 ``witt_add``, and the CLI's series output, which recovered its ghost field
 from the series by ``ghost``.  The Lefschetz numbers of a map whose nonzero
 eigenvalues are roots of unity are read from one period; the ghost
-expansion that the library keeps for every other map is their oracle here,
-and a spy on ``dynamical.ghost`` checks that the period never runs it.
+expansion that the library keeps for every other map is their oracle here
+(``builders.lefschetz_numbers_oracle``), and a spy on ``dynamical.ghost``
+checks that the period never runs it.
 """
 
 import io
@@ -23,26 +24,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from bcwitt import cli, dynamical, errors, linalg  # noqa: E402
-from bcwitt.arith import Polynomial, cyclotomic, totient  # noqa: E402
+from bcwitt.arith import totient  # noqa: E402
 from bcwitt.dynamical import (  # noqa: E402
     ToralMap, artin_mazur_series, lefschetz_numbers, lefschetz_zeta_series,
     torified_dynamical_zeta, zeta_ghosts)
 from bcwitt.errors import DegenerateIterate  # noqa: E402
 from bcwitt.witt import GhostVector, WittVector, ghost, unghost, witt_add  # noqa: E402
 
+from builders import cyclotomic_companion, lefschetz_numbers_oracle  # noqa: E402
+
 KINDS = ("lefschetz", "artin_mazur")
 SUBCOMMAND = {"lefschetz": ["lefschetz", "--series"], "artin_mazur": ["artin-mazur"]}
-
-
-def _lefschetz_numbers_oracle(f, trunc):
-    """det(I - M^n) as the n-th Witt Frobenius of det(1 - t M) at t = 1, from
-    one ghost expansion of the characteristic series, for any map."""
-    d = f.dim
-    if d == 0:
-        return [1] * trunc
-    g = ghost(WittVector.from_coeffs(linalg.char_series(f.matrix).coeffs[1:], trunc * d)).values
-    return [1 + sum(unghost(GhostVector.of(g[n - 1::n][:d])).coeffs)
-            for n in range(1, trunc + 1)]
 
 
 def _artin_mazur_oracle(f, trunc):
@@ -93,16 +85,6 @@ def _cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _companion(indices):
-    """The companion matrix of prod Phi_m over the indices."""
-    p = Polynomial([1])
-    for m in indices:
-        p = p * cyclotomic(m)
-    d = p.degree
-    return ToralMap.of([[int(i == j + 1) if j < d - 1 else -p.coeffs[i] for j in range(d)]
-                        for i in range(d)])
-
-
 # Random matrices of dimension 0-5, mostly with entries in [-3, 3]; entries
 # near 10^12 push the ghosts past 640 digits within trunc 40.
 random_maps = st.tuples(st.integers(0, 5), st.sampled_from([3, 3, 3, 10**12])).flatmap(
@@ -111,7 +93,7 @@ random_maps = st.tuples(st.integers(0, 5), st.sampled_from([3, 3, 3, 10**12])).f
 # Companions of products of cyclotomic polynomials of total degree <= 5.
 cyclotomic_maps = st.lists(st.sampled_from([m for m in range(1, 13) if totient(m) <= 5]),
                            max_size=5).filter(
-    lambda ms: sum(map(totient, ms)) <= 5).map(_companion)
+    lambda ms: sum(map(totient, ms)) <= 5).map(lambda ms: cyclotomic_companion(*ms))
 maps = random_maps | cyclotomic_maps
 small_maps = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3,
                       max_size=3).map(ToralMap.of) | cyclotomic_maps
@@ -122,7 +104,7 @@ small_maps = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_
        limit=st.sampled_from([None, 640]))
 @example(f=ToralMap.of([[10**20]]), trunc=40, kind="lefschetz", limit=640)
 @example(f=ToralMap.of([[10**20]]), trunc=40, kind="artin_mazur", limit=640)
-@example(f=_companion([3, 4]), trunc=40, kind="artin_mazur", limit=None)
+@example(f=cyclotomic_companion(3, 4), trunc=40, kind="artin_mazur", limit=None)
 def test_zeta_ghosts_match_the_oracles(f, trunc, kind, limit):
     got = _outcome(lambda: zeta_ghosts(f, trunc, kind))
     want = _outcome(lambda: ghost(_series_oracle(f, trunc, kind)))
@@ -154,7 +136,7 @@ def test_the_cli_reaches_each_ending():
         "kind": "LimitExceeded",
         "detail": "decimal digits of an output number: 660 exceeds the limit 640"}})
     code, out, _ = _cli(["zeta", "artin-mazur", "--trunc", "40", "--matrix",
-                         json.dumps(_companion([3, 4]).to_json())])
+                         json.dumps(cyclotomic_companion(3, 4).to_json())])
     assert (code, json.loads(out)["error"]["kind"]) == (1, "DegenerateIterate")
 
 
@@ -162,7 +144,7 @@ def test_the_cli_reaches_each_ending():
 @given(parts=st.lists(small_maps, max_size=3), trunc=st.integers(1, 40),
        kind=st.sampled_from(KINDS))
 @example(parts=[], trunc=5, kind="artin_mazur")
-@example(parts=[_companion([2]), _companion([1])], trunc=5, kind="artin_mazur")
+@example(parts=[cyclotomic_companion(2), cyclotomic_companion(1)], trunc=5, kind="artin_mazur")
 def test_torified_zeta_is_the_product_of_the_parts(parts, trunc, kind):
     got = _outcome(lambda: torified_dynamical_zeta(parts, trunc, kind))
     assert got == _outcome(lambda: _torified_oracle(parts, trunc, kind))
@@ -192,11 +174,11 @@ def quasi_unipotent_maps(draw):
     k = draw(st.just(0) | st.integers(1, 6))
     indices = draw(st.lists(st.integers(1, 60), max_size=12).map(lambda ms: _fit(ms, 24 - k)))
     if draw(st.booleans()):
-        rows = _companion(indices).matrix
+        rows = cyclotomic_companion(*indices).matrix
     else:
         rows = ()
         for m in indices:
-            rows = linalg.block_diag(rows, _companion([m]).matrix)
+            rows = linalg.block_diag(rows, cyclotomic_companion(m).matrix)
     span = draw(st.sampled_from([0, 3]))
     rows = linalg.block_diag(rows, tuple(
         tuple(draw(st.integers(-span, span)) if j > i else 0 for j in range(k)) for i in range(k)))
@@ -207,8 +189,8 @@ def quasi_unipotent_maps(draw):
 @settings(max_examples=40, deadline=None, database=None)
 @given(qu=quasi_unipotent_maps(), trunc=st.integers(1, 200))
 @example(qu=([], ToralMap.of([])), trunc=3)
-@example(qu=([3, 5, 16], _companion([3, 5, 16])), trunc=200)
-@example(qu=([60, 1], _companion([60, 1])), trunc=1)
+@example(qu=([3, 5, 16], cyclotomic_companion(3, 5, 16)), trunc=200)
+@example(qu=([60, 1], cyclotomic_companion(60, 1)), trunc=1)
 @example(qu=([], ToralMap.of([[0] * 64] * 64)), trunc=200)
 @example(qu=([2], ToralMap.of([[-1, 0, 0], [0, 0, 1], [0, 0, 0]])), trunc=7)
 def test_quasi_unipotent_lefschetz_numbers_are_one_period(qu, trunc):
@@ -220,7 +202,7 @@ def test_quasi_unipotent_lefschetz_numbers_are_one_period(qu, trunc):
         got = lefschetz_numbers(f, trunc)
         outcome = _outcome(lambda: artin_mazur_series(f, trunc))
     assert not spy.called
-    assert got == _lefschetz_numbers_oracle(f, trunc)
+    assert got == lefschetz_numbers_oracle(f, trunc)
     assert {type(a) for a in got} <= {int}
     period = math.lcm(*indices)
     assert got == [got[math.gcd(n, period) - 1] for n in range(1, trunc + 1)]
@@ -242,5 +224,5 @@ def test_lefschetz_numbers_fall_back_to_the_ghost_path(f, trunc):
     """Random matrices, nearly all with a nonzero eigenvalue that is not a
     root of unity, take the ghost path, sized by their nonzero eigenvalues."""
     got = lefschetz_numbers(f, trunc)
-    assert got == _lefschetz_numbers_oracle(f, trunc)
+    assert got == lefschetz_numbers_oracle(f, trunc)
     assert {type(a) for a in got} <= {int}
