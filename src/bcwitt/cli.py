@@ -217,10 +217,7 @@ def _equivariant_euler(args, action: dict) -> dict:
 
 
 def _equivariant_check(args, data: dict) -> dict:
-    a = _plain_action(args, data)
-    if args.kmax < 1:
-        raise UsageError(f"--kmax must be >= 1, not {args.kmax}")
-    return lib.equivariant.check_relations(args.n, a, args.kmax)
+    return lib.equivariant.check_relations(args.n, _plain_action(args, data), args.kmax)
 
 
 # Plain (non-payload) flags by name; "a|b" in a subcommand's flags makes a

@@ -25,10 +25,10 @@ phi and mu (m = 1 and F_1 = 1 when M is nilpotent).  The closed form is then
 
     zeta(t) = prod_{d | m} (1 - t^d)^(-s_d),  s_d = (1/d) sum_{k | d} F_k mu(d/k).
 
-Any other map takes the general path, which the tests check the period
-against: det(1 - t M^n) is the n-th Witt Frobenius of det(1 - t M), so its
-ghosts are those of det(1 - t M) at n, 2n, ..., en, with e the degree of
-det(1 - t M), and det(I - M^n) is that degree-e polynomial at t = 1.
+Any other map takes the general path, the tests' oracle for the period, on
+``witt._ghosts``/``_unghosts``: det(1 - t M^n) is the n-th Witt Frobenius of
+det(1 - t M) (degree e), so its ghosts are those of det(1 - t M) at n, 2n,
+..., en, and det(I - M^n) is that degree-e polynomial at t = 1.
 
 The spectral Euler characteristic of a quasi-unipotent matrix collects its
 eigenvalues (all roots of unity) into the group ring of Q/Z: each factor
@@ -47,7 +47,7 @@ from .arith import _divisor_table, cyclotomic_factor
 from .errors import DegenerateIterate, NotQuasiUnipotent, _json_list, _number, _numstr, _size
 from . import linalg
 from .linalg import Matrix
-from .witt import GhostVector, WittVector, _unghosts, ghost, unghost
+from .witt import GhostVector, WittVector, _ghosts, _unghosts, unghost
 from .record import Record, _canonical
 
 if TYPE_CHECKING:
@@ -105,8 +105,8 @@ def lefschetz_numbers(f: ToralMap, trunc: int) -> list[int]:
         table, f_k = _period(cyclotomic_factor(series.reversed()))
     except NotQuasiUnipotent:
         e = series.degree
-        g = ghost(WittVector.from_coeffs(series.coeffs[1:], trunc * e)).values
-        return [1 + sum(_unghosts(1, g[n - 1::n][:e])) for n in range(1, trunc + 1)]
+        E, g = _ghosts(series.coeffs[1:], trunc * e)
+        return [1 + sum(_unghosts(E**n, g[n - 1::n][:e])) for n in range(1, trunc + 1)]
     period = max(table)
     return [f_k[math.gcd(n, period)] for n in range(1, trunc + 1)]
 

@@ -210,7 +210,8 @@ def check_relations(n: int, a: CyclicAction, kmax: int) -> dict:
     the periodic points at k = 1..kmax, then their Euler characteristics'
     intertwining with sigma and rho, as the JSON object of ``equivariant
     check``: {"ok": true, "n", "kmax"}, or {"ok": false, "failed"} naming
-    the first identity that fails."""
+    the first identity that fails.  kmax is a period: at least 1."""
+    _size("period", kmax)
     shifted = sigma_action(n, a)
     spread = verschiebung_action(n, a)
     # Periodic points depend on which orbit sizes divide k: period n*lcm.

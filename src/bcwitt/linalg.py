@@ -272,7 +272,8 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    return tuple(
-        tuple(a[i // nb][j // nb] * b[i % nb][j % nb] for j in range(na * nb))
-        for i in range(na * nb))
+    """a (x) b, an integral product of Fraction factors stored as an int."""
+    out = tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+    if Fraction in set(map(type, chain(*a, *b))):
+        return tuple(tuple(map(_norm_coeff, row)) for row in out)
+    return out

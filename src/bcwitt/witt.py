@@ -13,27 +13,25 @@ arithmetic.  Rational input is first scaled by the homothety t -> E t
 Part 1*, arXiv:0804.3888, section 9), which multiplies c_m and N_m alike
 by E^m: ``arith._clear`` picks the least E that makes the scaled values
 integral, the loops run on them in Z, and ``arith._unclear`` divides by
-E^m once per entry at the end.  ``_unghosts`` keeps S c_m for a common
-denominator S of its divisions by m: an inexact one multiplies S and every
-stored value by the least factor that makes it exact, and ``_unclear``
-divides S out with E^m.  ``witt_mul`` and ``frobenius`` hand the scaled
-ghosts of ``_ghosts`` (scale E_a E_b, or E^n) to ``_unghosts`` through
-``_rescale``, which moves them to the scale ``_clear`` would pick for the
-ghosts themselves, so no Fraction is built between the two loops.
-``series_div`` runs on the same homothety; ``series_mul`` does not, because
-a product has no powers of its entries, so E^m would only inflate it: it
-puts each side over the lcm of its denominators (``arith._numerators``) and
-reduces each output once.  So a Fraction appears mid-loop only for the part
-of a denominator that ``_clear`` leaves alone (primes above 1000 after the
-first entry, or a cover past its bit cap), and in ``series_mul`` on sides
-whose denominators are wider than ``arith._CLEAR_MAX_BITS`` bits per
-Fraction entry.  ``_ghosts`` stops the sum at the last nonzero coefficient,
-so a polynomial padded to truncation N costs O(N * degree).  ``_ghosts``,
-``_unghosts``, ``series_mul``, ``series_div`` and ``arith._power_series``
-are the package's only Newton and series loops (the matrix layers reach them
-through det(1 - t M)), beside the product and division loops of
-``arith.Polynomial``.  Each series loop keeps its past outputs in a buffer
-newest first, so every inner sum is one ``sum(map(mul, coeffs, rev))``.
+E^m once per entry at the end.  The kernel pair owns that scale: ``_ghosts``
+returns (E, [N_m E^m]), and ``_unghosts(F, v)`` takes ghosts v_m = N_m F^m
+at any scale F (1 in ``unghost``, E_a E_b in ``witt_mul``, E^n in
+``frobenius``) and first moves them by ``_rescale`` to the least scale, so no
+Fraction is built between the two loops.  ``_unghosts`` keeps S c_m for a
+common denominator S of its divisions by m, grown by the least factor that
+makes an inexact one exact, and divides S out with E^m.  ``series_div`` runs
+on the same homothety; ``series_mul`` does not, as a product has no powers of
+its entries: it puts each side over the lcm of its denominators
+(``arith._numerators``) and reduces each output once.  So a Fraction appears
+mid-loop only for the part of a denominator that ``_clear`` leaves alone
+(primes above 1000 after the first entry, or a cover past its bit cap), and
+in ``series_mul`` on sides whose denominators are wider than
+``arith._CLEAR_MAX_BITS`` bits per Fraction entry.  ``_ghosts`` stops the sum
+at the last nonzero coefficient, so a polynomial padded to truncation N costs
+O(N * degree).  The pair, the two series loops and ``arith._power_series`` are
+the package's only Newton and series loops (the matrix layers reach them through
+det(1 - t M)), beside those of ``arith.Polynomial``.  Each keeps its past
+outputs newest first, so every inner sum is one ``sum(map(mul, coeffs, rev))``.
 
 Operations follow the Witt dictionary: addition is the series product,
 multiplication is pointwise on ghosts, the Teichmueller lift of a is the
@@ -196,6 +194,8 @@ def _ghosts(c: Sequence[Scalar], trunc: int) -> tuple[int, list[Scalar]]:
     deg = len(c)
     while deg and not c[deg - 1]:
         deg -= 1
+    if not deg:  # the Witt zero, whose ghosts are all 0
+        return 1, [0] * trunc
     E, c = _clear(c[:deg])
     rev: list[Scalar] = []          # N_{m-1}, ..., N_1
     for m in range(1, trunc + 1):
@@ -204,8 +204,22 @@ def _ghosts(c: Sequence[Scalar], trunc: int) -> tuple[int, list[Scalar]]:
     return E, rev[::-1]
 
 
-def _unghosts(E: int, v: Sequence[Scalar]) -> Sequence[Scalar]:
-    """The coefficients c_m whose ghosts N_m are v_m / E^m."""
+def _rescale(F: int, xs: Sequence[Scalar]) -> tuple[int, Sequence[Scalar]]:
+    """_clear(_unclear(xs, F)) without the reduced values: one gcd per entry
+    gives den(x_m / F^m), which divides F^m, so their cover E divides F."""
+    if F == 1 or any(type(x) is Fraction for x in xs):
+        return _clear(_unclear(xs, F))
+    dens, Fm = [], 1
+    for x in xs:
+        Fm *= F
+        dens.append(Fm // math.gcd(x, Fm))
+    E = _cover(dens)
+    return E, _unclear(xs, F // E)
+
+
+def _unghosts(F: int, v: Sequence[Scalar]) -> Sequence[Scalar]:
+    """The coefficients c_m whose ghosts N_m are v_m / F^m, for any scale F."""
+    E, v = _rescale(F, v)
     # rev holds S c_{m-1}, ..., S c_1 (scaled by E^m); S grows by the least
     # factor that makes each inexact division by m exact.
     S = 1
@@ -225,19 +239,6 @@ def _unghosts(E: int, v: Sequence[Scalar]) -> Sequence[Scalar]:
     return _unclear(rev[::-1], E, S)
 
 
-def _rescale(F: int, xs: Sequence[Scalar]) -> tuple[int, Sequence[Scalar]]:
-    """_clear(_unclear(xs, F)) without the reduced values: one gcd per entry
-    gives den(x_m / F^m), which divides F^m, so their cover E divides F."""
-    if F == 1 or any(type(x) is Fraction for x in xs):
-        return _clear(_unclear(xs, F))
-    dens, Fm = [], 1
-    for x in xs:
-        Fm *= F
-        dens.append(Fm // math.gcd(x, Fm))
-    E = _cover(dens)
-    return E, _unclear(xs, F // E)
-
-
 def ghost(w: WittVector) -> GhostVector:
     """Ghost components via the Newton recursion; exact."""
     E, v = _ghosts(w.coeffs, w.trunc)
@@ -248,7 +249,7 @@ def unghost(g: GhostVector) -> WittVector:
     """Series with the given ghost components (exp of the generating series)."""
     if g.is_symbolic():
         raise ValueError("cannot expand a symbolic ghost vector; take q -> value first")
-    return WittVector(g.trunc, tuple(_unghosts(*_clear(g.values))))
+    return WittVector(g.trunc, tuple(_unghosts(1, g.values)))
 
 
 # ------------------------------------------------------------ ring structure
@@ -272,7 +273,7 @@ def witt_mul(a: WittVector, b: WittVector) -> WittVector:
     """Witt product: pointwise on ghosts, then back."""
     _match(a, b)
     (Ea, ga), (Eb, gb) = _ghosts(a.coeffs, a.trunc), _ghosts(b.coeffs, b.trunc)
-    return WittVector(a.trunc, tuple(_unghosts(*_rescale(Ea * Eb, list(map(mul, ga, gb))))))
+    return WittVector(a.trunc, tuple(_unghosts(Ea * Eb, list(map(mul, ga, gb)))))
 
 
 def witt_scale(n: int, a: WittVector) -> WittVector:
@@ -292,7 +293,7 @@ def frobenius(n: int, w: WittVector) -> WittVector:
     if m == 0:
         raise TruncationTooSmall(f"truncation {w.trunc} too small for Frobenius F_{n}")
     E, g = _ghosts(w.coeffs[:m * n], m * n)
-    return WittVector(m, tuple(_unghosts(*_rescale(E**n, g[n - 1::n]))))
+    return WittVector(m, tuple(_unghosts(E**n, g[n - 1::n])))
 
 
 def verschiebung(n: int, w: WittVector) -> WittVector:

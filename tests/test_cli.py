@@ -1,9 +1,12 @@
 import json
 import math
 import random
+import re
+import shlex
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -159,11 +162,12 @@ def test_equivariant_commands(capsys):
     chk = run_json(capsys, "equivariant", "check", "--action", act, "--n", "3",
                    "--kmax", "12")
     assert chk["ok"] is True
-    # A check of no k at all is a usage error, not {"ok": true}.
+    # A check of no k at all is a usage error, not {"ok": true}: kmax is a period.
     for kmax in ("0", "-3"):
         code, out, err = run_cli(capsys, "equivariant", "check", "--action", act, "--n", "3",
                                  "--kmax", kmax)
-        assert (code, out) == (2, "") and "--kmax" in err
+        assert (code, out) == (2, "")
+        assert err == f"bcwitt: invalid input: period must be >= 1, not {kmax}\n"
 
 
 def test_equivariant_relative(capsys):
@@ -553,3 +557,23 @@ def test_output_is_byte_stable(capsys):
     second = run_cli(capsys, "qz", "rho", "--n", "3", "--elem", '{"terms":[{"r":"0","c":1}]}')
     assert first == second
     assert first[1] == '{"terms":[{"r":"0","c":1},{"r":"1/3","c":1},{"r":"2/3","c":1}]}\n'
+
+
+def _readme_examples() -> list:
+    """Each ``bcwitt ...`` command of README's CLI block, its backslash
+    continuations joined, as argv, with the ``# ...`` output line under it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    argvs = [(shlex.split(cmd)[1:], out.removeprefix("# "))
+             for cmd, out in zip(lines, lines[1:]) if cmd.startswith("bcwitt ")]
+    return [pytest.param(argv, shown, id=" ".join(argv[:2])) for argv, shown in argvs]
+
+
+@pytest.mark.parametrize("argv,shown", _readme_examples())
+def test_readme_example(argv, shown, capsys):
+    """The output README shows, where a [...] field matches anything."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    pattern = ".*?".join(map(re.escape, shown.split("[...]")))
+    assert re.fullmatch(pattern, out.rstrip("\n")), (out, shown)

@@ -62,6 +62,25 @@ CALLS = {
     ("equivariant", "check"): ["--n", "3", "--kmax", "12", "--action", ACTION],
 }
 
+# The bcwitt modules each call of CALLS loads, sorted: a new import fails
+# here, not only as the start-up time of every CLI call.
+LOADS = {
+    **dict.fromkeys([("qz", n) for n in ("sigma", "rho", "mul")], "cli errors qz record"),
+    ("qz", "split"): "arith cli errors qz record",
+    **dict.fromkeys([("witt", n) for n in COMMANDS["witt"][1]], "arith cli errors record witt"),
+    **dict.fromkeys([("class", n) for n in COMMANDS["class"][1]],
+                    "arith cli errors record torified"),
+    **dict.fromkeys([("zeta", n) for n in ("f1", "hw", "quotient-check")],
+                    "arith cli errors record torified witt zeta"),
+    **dict.fromkeys([("zeta", n) for n in ("lefschetz", "artin-mazur")],
+                    "arith cli dynamical errors linalg record witt"),
+    **dict.fromkeys([("endo", n) for n in COMMANDS["endo"][1]],
+                    "arith cli endo errors linalg record witt"),
+    ("euler", "spectral"): "arith cli dynamical errors linalg qz record witt",
+    **dict.fromkeys([("equivariant", n) for n in COMMANDS["equivariant"][1]],
+                    "cli equivariant errors qz record"),
+}
+
 # The names the package exported when it imported every module eagerly.
 EXPORTED = """
     Polynomial cyclotomic cyclotomic_factor moebius totient
@@ -96,21 +115,25 @@ def fresh_python(*args: str, timeout: float = 60,
 
 
 def test_every_subcommand_has_a_call():
-    assert set(CALLS) == {(g, n) for g, (_, subs) in COMMANDS.items() for n in subs}
+    assert set(CALLS) == set(LOADS) == {(g, n) for g, (_, subs) in COMMANDS.items() for n in subs}
 
 
 @pytest.mark.parametrize("group,name", sorted(CALLS))
 def test_subcommand_in_fresh_process(group, name, capsys):
     """Each subcommand runs on the standard library alone: the test-only
-    oracles are blocked, and an import of one would leave a traceback."""
+    oracles are blocked, and an import of one would leave a traceback.  The
+    bcwitt modules it loads, printed to stderr after the call, are LOADS."""
     argv = [group, name, *CALLS[group, name]]
     code = main(argv)
     expected = capsys.readouterr().out
     done = fresh_python("-c", "import sys\n"
                         "sys.modules['sympy'] = sys.modules['hypothesis'] = None\n"
                         "from bcwitt.cli import main\n"
-                        "sys.exit(main(sys.argv[1:]))", *argv)
-    assert (done.returncode, done.stdout, done.stderr) == (code, expected, "")
+                        "code = main(sys.argv[1:])\n"
+                        "print(*sorted(m[7:] for m in sys.modules if m.startswith('bcwitt.')),\n"
+                        "      file=sys.stderr)\n"
+                        "sys.exit(code)", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, expected, LOADS[group, name] + "\n")
     assert code == 0
 
 

@@ -32,6 +32,23 @@ def test_sum_and_tensor():
     assert tensor(c, direct_sum(a, b)).dim == c.dim * 2
 
 
+def test_tensor_stores_integral_products_as_ints():
+    """kron stores a product as as_matrix would: an integral one as an int,
+    also when its factors are Fractions."""
+    assert type(tensor(EndoObject.of([[Fraction(1, 2)]]), EndoObject.scalar(2)).matrix[0][0]) is int
+    rng = random.Random(418)
+    for _ in range(60):
+        a, b = (EndoObject.of([[Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                                for _ in range(d)] for _ in range(d)])
+                for d in (rng.randint(0, 4), rng.randint(0, 4)))
+        nb = b.dim
+        want = EndoObject.of([[a.matrix[i // nb][j // nb] * b.matrix[i % nb][j % nb]
+                               for j in range(a.dim * nb)] for i in range(a.dim * nb)]).matrix
+        got = tensor(a, b).matrix
+        assert got == want
+        assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in want]
+
+
 def test_l_map():
     assert l_map(EndoObject.scalar(5)) == RationalWitt.of([1], [1, -5])
     swap = EndoObject.of([[0, 1], [1, 0]])

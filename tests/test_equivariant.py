@@ -19,8 +19,6 @@ from bcwitt.equivariant import (
 )
 from bcwitt.qz import QZElement, rho, sigma
 
-from builders import action_from_cycle_sizes, multisets_up_to
-
 
 # ----------------------------------------------- constructions (tests only)
 
@@ -163,28 +161,6 @@ def test_periodic_points_basic():
     assert periodic_points(six, 4) == frozenset()
     trivial = CyclicAction.trivial(4, 5)
     assert periodic_points(trivial, 3) == frozenset(range(5))
-
-
-def test_fixed_point_identities_exhaustive():
-    # All cycle types with lengths dividing the level, for every level <= 8
-    # and total size <= 12, against all n <= 4, k <= 32.
-    for level in range(1, 9):
-        lengths = [d for d in range(1, level + 1) if level % d == 0]
-        for sizes in multisets_up_to(lengths, 12):
-            action = action_from_cycle_sizes(level, sizes)
-            for n in range(1, 5):
-                shifted = sigma_action(n, action)
-                spread = verschiebung_action(n, action)
-                for k in range(1, 33):
-                    assert periodic_points(shifted, k) == periodic_points(action, n * k)
-                    pp = periodic_points(spread, k)
-                    if k % n != 0:
-                        assert pp == frozenset()
-                    else:
-                        base = periodic_points(action, k // n)
-                        expected = frozenset(
-                            j * action.size + s for j in range(n) for s in base)
-                        assert pp == expected
 
 
 def test_euler_char_examples():

@@ -18,7 +18,8 @@ from bcwitt.arith import Polynomial, factorize
 from bcwitt.cli import main
 from bcwitt.dynamical import ToralMap, lefschetz_numbers, torified_dynamical_zeta
 from bcwitt.endo import EndoObject, endo_frobenius, endo_verschiebung
-from bcwitt.equivariant import CyclicAction, periodic_points, sigma_action, verschiebung_action
+from bcwitt.equivariant import (CyclicAction, check_relations, periodic_points, sigma_action,
+                                verschiebung_action)
 from bcwitt.errors import LimitExceeded, _SIZES, _size
 from bcwitt.qz import QZElement, pi_n_times_n, rho, sigma, split
 from bcwitt.torified import LeveledClass, TorifiedClass, bb_assemble, bc_rho, f1m_points
@@ -60,7 +61,7 @@ LEAST = {
                  ONE.power, lambda k: z0(k, 3), lambda k: z1(k, 3)],
     "truncation": [*TRUNCATED, lambda t: WittVector(t, (0,) * t)],
     "level": [lambda n: CyclicAction(n, ()), lambda n: LeveledClass(POINT, n)],
-    "period": [lambda k: periodic_points(ONE, k)],
+    "period": [lambda k: periodic_points(ONE, k), lambda k: check_relations(1, ONE, k)],
     "extension degree": [lambda m: f1m_points(POINT, m)],
     "cell dimension": [lambda d: bb_assemble([(POINT, d)])],
     "q": [lambda q: hw_zeta(POINT, q, 2)],

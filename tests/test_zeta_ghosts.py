@@ -198,7 +198,7 @@ def test_quasi_unipotent_lefschetz_numbers_are_one_period(qu, trunc):
     and type, repeats with period lcm(m_i), and is first 0 at n = min(m_i);
     no ghost expansion runs."""
     indices, f = qu
-    with mock.patch.object(dynamical, "ghost", wraps=dynamical.ghost) as spy:
+    with mock.patch.object(dynamical, "_ghosts", wraps=dynamical._ghosts) as spy:
         got = lefschetz_numbers(f, trunc)
         outcome = _outcome(lambda: artin_mazur_series(f, trunc))
     assert not spy.called
